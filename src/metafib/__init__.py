@@ -53,7 +53,6 @@ from .codes import (
     greedy_tree,
     greedy_tree_unbounded,
     level_counts,
-    max_ones_partition,
     max_ones_partition_brute,
     shrink,
     validate_code,

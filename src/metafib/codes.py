@@ -9,8 +9,6 @@ M table reproduce the shift-0 and shift-1 sequences.
 
 from __future__ import annotations
 
-import threading
-
 ENUM_GUARD = 16
 ORACLE_GUARD = 14
 PARTITION_GUARD = 64  # largest 2**h the brute-force partition search accepts
@@ -121,28 +119,47 @@ def enumerate_codes(n: int, h: int | None = None) -> list:
     return sorted(results)
 
 
+def _greedy_leaves(n: int, h: int) -> list:
+    """Leaves per depth 0..h of the greedy code with n leaves and height h.
+
+    Greedy splits a deepest leaf above the bottom, so a left subtree is
+    complete before its right sibling is ever split.  Walking down the
+    left spine with m leaves still to place at depth d, either the right
+    child stays a single leaf and the walk goes left with m - 1, or the
+    left subtree is complete and the walk goes right with the rest.
+    """
+    leaves = [0] * (h + 1)
+    m, d = n, 0
+    while m > 1:
+        half = 1 << (h - d - 1)
+        if m - 1 <= half:
+            leaves[d + 1] += 1
+            m -= 1
+        else:
+            leaves[h] += half
+            m -= half
+        d += 1
+    leaves[d] += 1
+    return leaves
+
+
 def greedy_tree(n: int, h: int) -> tuple:
     """The greedy code with n leaves and height h.
 
-    Starts from (h, h, h-1, ..., 2, 1) and repeatedly splits the leftmost
-    leaf lying above the bottom into a sibling pair one level down.
+    Greedy starts from (h, h, h-1, ..., 2, 1) and repeatedly splits the
+    leftmost leaf lying above the bottom into a sibling pair one level
+    down.  The code is read off the left-first descent of _greedy_leaves:
+    O(h) plus the output size, with no state kept.
     """
     if h < 1:
         raise ValueError("height must be >= 1")
     if not h + 1 <= n <= 1 << h:
         raise ValueError(f"greedy_tree needs h+1 <= n <= 2**h, got n={n}, h={h}")
-    levels = [h] + list(range(h, 0, -1))
-    for _ in range(n - h - 1):
-        _expand_leftmost(levels, h)
+    leaves = _greedy_leaves(n, h)
+    levels = []
+    for depth in range(h, 0, -1):
+        levels += [depth] * leaves[depth]
     return tuple(levels)
-
-
-def _expand_leftmost(levels: list, h: int) -> None:
-    for idx, l in enumerate(levels):
-        if l < h:
-            levels[idx : idx + 1] = [l + 1, l + 1]
-            return
-    raise ValueError("complete tree: nothing to expand")
 
 
 def greedy_step_counts(tau) -> list:
@@ -155,47 +172,15 @@ def greedy_step_counts(tau) -> list:
     raise ValueError("complete tree: every level is saturated")
 
 
-_unbounded_lock = threading.Lock()
-_unbounded_last: tuple = (2, [1, 1])
-
-
-def _unbounded_special(n: int) -> list | None:
-    h = _ceil_lg(n)
-    if n == 1 << h:
-        return [h] * n
-    if n == (1 << (h - 1)) + 1:
-        return [h] * (n - 1) + [1]
-    return None
-
-
 def greedy_tree_unbounded(n: int) -> tuple:
     """The greedy code with n leaves at the minimum possible height.
 
-    Complete trees restart the pattern at powers of two; one past a power
-    of two, the whole previous tree becomes a left subtree (every leaf one
-    level deeper) next to a single level-1 leaf; in between, the leftmost
-    non-bottom leaf is split as in greedy_tree.
+    Built by the same stateless left-first descent as greedy_tree, in
+    O(log n) plus the output size.
     """
-    global _unbounded_last
     if n < 2:
         raise ValueError("codes need n >= 2")
-    special = _unbounded_special(n)
-    if special is not None:
-        return tuple(special)
-    with _unbounded_lock:
-        at, levels = _unbounded_last
-        if at > n:
-            at = (1 << (_ceil_lg(n) - 1)) + 1
-            levels = _unbounded_special(at)
-        while at < n:
-            at += 1
-            fresh = _unbounded_special(at)
-            if fresh is not None:
-                levels = fresh
-            else:
-                _expand_leftmost(levels, levels[0])
-        _unbounded_last = (at, levels)
-        return tuple(levels)
+    return greedy_tree(n, _ceil_lg(n))
 
 
 def shrink(code) -> tuple:
@@ -209,37 +194,12 @@ def shrink(code) -> tuple:
     raise ValueError("no equal pair to shrink")  # impossible for valid codes
 
 
-class _GreedyRow:
-    """Greedy level counts for one height, grown leaf by leaf."""
-
-    def __init__(self, h: int):
-        self.h = h
-        self.tau = [1] * h
-        self.n = h + 1
-        self.bottom = [1]  # bottom[i] = tau[h-1] for n = h+1+i
-
-    def bottom_at(self, n: int) -> int:
-        while self.n < n:
-            tau = self.tau
-            for k in range(self.h - 1, 0, -1):
-                if tau[k] < 2 * tau[k - 1]:
-                    tau[k] += 1
-                    break
-            self.n += 1
-            self.bottom.append(tau[self.h - 1])
-        return self.bottom[n - self.h - 1]
-
-
-_rows: dict = {}
-_rows_lock = threading.Lock()
-
-
 def M(n: int, h: int) -> int:
     """Most sibling leaf pairs at the bottom of an n-leaf height-h code.
 
     Zero when no such code exists (h too small for n leaves, or n too
-    small for height h); otherwise read off the greedy construction,
-    which is optimal.
+    small for height h); otherwise the bottom of the greedy code, which
+    is optimal, read off its left-first descent in O(h) with no state.
     """
     if n < 2:
         raise ValueError("codes need n >= 2")
@@ -247,11 +207,7 @@ def M(n: int, h: int) -> int:
         raise ValueError("height must be >= 1")
     if n > 1 << h or n < h + 1:
         return 0
-    with _rows_lock:
-        row = _rows.get(h)
-        if row is None:
-            row = _rows[h] = _GreedyRow(h)
-        return row.bottom_at(n)
+    return _greedy_leaves(n, h)[h] // 2
 
 
 def M_oracle(n: int, h: int) -> int:
@@ -282,16 +238,6 @@ def b_seq(n: int) -> int:
     while n + h > 1 << h:
         h += 1
     return M(n + h, h)
-
-
-def max_ones_partition(n: int, h: int) -> int:
-    """Pair count the partition view attains: same optimum as M(n, h).
-
-    Writing the Kraft identity over 2**h turns a code into a partition of
-    2**h into n powers of two; parts equal to 1 are the bottom leaves and
-    arrive in sibling pairs, so the optimum in pairs is M(n, h).
-    """
-    return M(n, h)
 
 
 def max_ones_partition_brute(n: int, h: int) -> int:

@@ -79,10 +79,10 @@ def is_leaf_oracle(s: int, n: int) -> int:
 
 
 def leaves_in_prefix(s: int, n: int) -> int:
-    """Leaves among labels 1..n, counted one label at a time."""
+    """Leaves among labels 1..n: the last entry of leaf_count_scan."""
     if n < 1:
         raise ValueError("leaves_in_prefix needs n >= 1")
-    return sum(is_leaf_oracle(s, i) for i in range(1, n + 1))
+    return leaf_count_scan(s, n)[n]
 
 
 def leaf_count_scan(s: int, n_max: int) -> list:

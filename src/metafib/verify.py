@@ -281,9 +281,9 @@ def _check_shrink(b):
         small = codes.shrink(grown)
         if sequences.is_power_of_two(n - 1) and n - 1 > 2:
             # the height drops at these boundaries; re-grow instead
-            relist = list(small)
-            codes._expand_leftmost(relist, relist[0])
-            _need(tuple(relist) == grown, f"regrow n={n}")
+            regrown = codes.counts_to_code(
+                codes.greedy_step_counts(codes.level_counts(small)))
+            _need(regrown == grown, f"regrow n={n}")
         else:
             _need(
                 small == codes.greedy_tree_unbounded(n - 1),
@@ -314,7 +314,7 @@ def _check_partition_ones(b):
         for n in range(2, min((1 << h) + 2, 15)):
             brute = codes.max_ones_partition_brute(n, h)
             _need(
-                brute == 2 * codes.max_ones_partition(n, h),
+                brute == 2 * codes.M(n, h),
                 f"partition ones n={n} h={h}: {brute}",
             )
 

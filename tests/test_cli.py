@@ -153,6 +153,22 @@ def test_codes_bseq_bridge(capsys):
     assert values == [sq.a(0, n) for n in range(1, 21)]
 
 
+def test_codes_amax_bseq_at_huge_n():
+    top = 10**12
+    for sub, expect in (("amax", lambda n: sq.as_via_a0(1, n - 1)),
+                        ("bseq", sq.a0_fast)):
+        result = subprocess.run(
+            [sys.executable, "-m", "metafib", "codes", sub,
+             "--from", str(top), "--to", str(top + 5)],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert result.returncode == 0
+        values = [int(x) for x in result.stdout.split()]
+        assert values == [expect(n) for n in range(top, top + 6)]
+
+
 def test_word_and_tree_smoke(capsys):
     code, out, _ = run_cli(capsys, "word", "stream", "--s", "2", "--length", "12")
     assert code == 0

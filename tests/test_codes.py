@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from metafib import sequences as sq
@@ -13,7 +16,6 @@ from metafib.codes import (
     greedy_tree_unbounded,
     kraft_is_exact,
     level_counts,
-    max_ones_partition,
     max_ones_partition_brute,
     shrink,
     validate_code,
@@ -108,11 +110,13 @@ def test_greedy_step_counts_examples():
 
 
 def test_greedy_step_matches_code_step():
-    for n in range(4, 14):
-        for h in range(2, n):
-            if h + 1 <= n < 2**h:
-                stepped = greedy_step_counts(level_counts(greedy_tree(n, h)))
-                assert stepped == level_counts(greedy_tree(n + 1, h))
+    # the step rule is the definition of greedy; the descent must replay it
+    for h in range(1, 11):
+        tau = [1] * h
+        for n in range(h + 1, 2**h + 1):
+            assert tau == level_counts(greedy_tree(n, h)), (n, h)
+            if n < 2**h:
+                tau = greedy_step_counts(tau)
 
 
 def test_greedy_unbounded_examples():
@@ -203,6 +207,20 @@ def test_b_seq_examples_and_bridge():
         assert b_seq(n) == sq.a(0, n)
 
 
+def test_huge_n_is_bounded():
+    started = time.monotonic()
+    for top in (10**12, 10**18):
+        for n in range(top - 3, top + 4):
+            assert a_max(n) == sq.as_via_a0(1, n - 1), n
+            assert b_seq(n) == sq.a0_fast(n), n
+    rng = random.Random(60)
+    for _ in range(200):
+        n = rng.randrange(61, 2**60 + 1)
+        assert M(n, 60) == sq.a0_fast(n - 60), n
+    assert M(2**60, 60) == 2**59
+    assert time.monotonic() - started < 1.0
+
+
 def test_height_stability():
     for n in range(1, 80):
         h = 1
@@ -214,14 +232,11 @@ def test_height_stability():
 
 
 def test_partition_view():
-    assert max_ones_partition(5, 3) == 2
-    assert max_ones_partition(8, 3) == 4
-    assert max_ones_partition(2, 1) == 1
     # the literal partition maximum counts leaves, exactly twice the pairs
     assert max_ones_partition_brute(5, 3) == 4
     assert max_ones_partition_brute(2, 1) == 2
     for h in range(1, 7):
         for n in range(2, min(2**h + 2, 15)):
-            assert max_ones_partition_brute(n, h) == 2 * max_ones_partition(n, h)
+            assert max_ones_partition_brute(n, h) == 2 * M(n, h)
     with pytest.raises(ValueError):
         max_ones_partition_brute(4, 7)
