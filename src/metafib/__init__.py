@@ -16,7 +16,6 @@ from .sequences import (
     generic_metafib,
     is_power_of_two,
     p,
-    p_fast,
     ruler,
     shift_family_spec,
     table,

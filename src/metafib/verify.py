@@ -84,7 +84,7 @@ def _check_first_hits(b):
         t = sequences.table(s)
         top = t.a(b["n_seq"])
         for n in range(2, top + 1):
-            pos = t.p(n)
+            pos = sequences.p(s, n)
             _need(t.a(pos) == n and t.a(pos - 1) == n - 1, f"p({s},{n})={pos}")
 
 
@@ -93,7 +93,7 @@ def _check_p_differences(b):
         t = sequences.table(s)
         top = t.a(b["n_seq"])
         for n in range(1, top):
-            gap = t.p(n + 1) - t.p(n)
+            gap = sequences.p(s, n + 1) - sequences.p(s, n)
             want = sequences.ruler(n) + (s if sequences.is_power_of_two(n) else 0)
             _need(gap == want, f"p gap s={s} n={n}: {gap} != {want}")
 
@@ -126,7 +126,7 @@ def _check_word_stream(b):
             _need(int(w[n - 1]) == t.d(n), f"stream bit s={s} n={n}")
         ones = [i + 1 for i, c in enumerate(w) if c == "1"]
         for rank, pos in enumerate(ones, 1):
-            _need(t.p(rank) == pos, f"ones positions s={s} rank={rank}")
+            _need(sequences.p(s, rank) == pos, f"ones positions s={s} rank={rank}")
 
 
 def _check_ruler_factorization(b):
@@ -192,11 +192,10 @@ def _check_a_gf(b):
 def _check_p_gf(b):
     order = b["order"]
     for s in range(min(b["shift_max"], 4) + 1):
-        t = sequences.table(s)
         gf = series.gf_Ps(s, order)
         _need(gf.coefficient(0) == 1, f"p gf constant s={s}")
         for n in range(1, order + 1):
-            _need(gf.coefficient(n) == t.p(n), f"p gf s={s} n={n}")
+            _need(gf.coefficient(n) == sequences.p(s, n), f"p gf s={s} n={n}")
 
 
 def _check_composition_counts(b):

@@ -64,10 +64,13 @@ def dword_prefix(s: int, length: int) -> str:
 def ruler_factorization(s: int, terms: int) -> str:
     """The leaf stream as runs: 1 followed by (ruler(j) + bonus - 1) zeros.
 
-    The bonus is s whenever j is a power of two (1 included).
+    The bonus is s whenever j is a power of two (1 included).  The runs
+    are the gaps of p, so the output has p(s, terms + 1) - 1 characters.
     """
     if s < 0 or terms < 1:
         raise ValueError("ruler_factorization needs s >= 0, terms >= 1")
+    if sequences.p(s, terms + 1) - 1 > LENGTH_GUARD:
+        raise ValueError(f"ruler_factorization guard: length <= {LENGTH_GUARD}")
     chunks = []
     for j in range(1, terms + 1):
         run = sequences.ruler(j) + (s if sequences.is_power_of_two(j) else 0)

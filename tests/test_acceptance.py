@@ -77,7 +77,7 @@ def test_criterion_4_generating_functions():
         for n in range(1, order + 1):
             assert ds.coefficient(n) == t.d(n), (s, n)
             assert aa.coefficient(n) == t.a(n), (s, n)
-            assert pp.coefficient(n) == t.p(n), (s, n)
+            assert pp.coefficient(n) == sq.p(s, n), (s, n)
         if s >= 1:
             assert series.gf_As(s, order) == aa, s
         assert series.gf_Ds_nested(s, 2048, 12) == series.gf_Ds_sum(s, 2048), s

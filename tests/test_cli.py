@@ -169,6 +169,30 @@ def test_codes_amax_bseq_at_huge_n():
         assert values == [expect(n) for n in range(top, top + 6)]
 
 
+def test_seq_p_at_huge_n():
+    top = 10**17
+    result = subprocess.run(
+        [sys.executable, "-m", "metafib", "seq", "p", "--s", "3",
+         "--from", str(top), "--to", str(top + 15)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert result.returncode == 0
+    values = [int(x) for x in result.stdout.split()]
+    assert len(values) == 16
+    # each value is the first label where a(3, .) reaches n
+    for n, pos in zip(range(top, top + 16), values):
+        assert sq.as_via_a0(3, pos) == n and sq.as_via_a0(3, pos - 1) == n - 1
+
+
+def test_word_runs_guard_exits_2(capsys):
+    code, out, err = run_cli(capsys, "word", "runs", "--terms", str(10**8))
+    assert code == 2
+    assert out == ""
+    assert "ruler_factorization guard" in err and str(2**22) in err
+
+
 def test_word_and_tree_smoke(capsys):
     code, out, _ = run_cli(capsys, "word", "stream", "--s", "2", "--length", "12")
     assert code == 0

@@ -79,3 +79,21 @@ def test_compare_empty_overlap():
     role = oeis.ROLE_MAP["A079559"]
     compared, mismatch = oeis.compare_records([], role)
     assert compared == 0 and mismatch is None
+
+
+def test_fixture_generator_reproduces_the_fixtures(tmp_path, monkeypatch):
+    import importlib.util
+
+    script = os.path.join(os.path.dirname(__file__), "..", "tools", "make_fixtures.py")
+    spec = importlib.util.spec_from_file_location("make_fixtures", script)
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    monkeypatch.setattr(make_fixtures, "OUT_DIR", str(tmp_path))
+    make_fixtures.main()
+    names = sorted(os.listdir(DATA))
+    assert names == sorted(os.listdir(tmp_path))
+    assert len(names) == 6
+    for name in names:
+        with open(os.path.join(DATA, name), "rb") as want, \
+                open(tmp_path / name, "rb") as got:
+            assert got.read() == want.read(), name

@@ -1,6 +1,11 @@
+import random
+import sys
+import time
+
 import pytest
 
 from metafib import sequences as sq
+from metafib import trees
 
 from _rows import ROWS_A, ROWS_D, ROWS_P, RULER_PREFIX
 
@@ -114,13 +119,32 @@ def test_p_is_first_hit():
             assert sq.a(s, pos - 1) == n - 1
 
 
-def test_p_difference_rule_and_fast_p():
+def test_p_difference_rule():
     for s in range(5):
         for n in range(1, 200):
             bonus = s if sq.is_power_of_two(n) else 0
             assert sq.p(s, n + 1) - sq.p(s, n) == sq.ruler(n) + bonus
-        for n in (1, 2, 17, 100):
-            assert sq.p_fast(s, n) == sq.p(s, n)
+
+
+def test_p_is_first_hit_at_huge_n():
+    # p is a closed form: check it against as_via_a0 and the tree oracle
+    started = time.monotonic()
+    rng = random.Random(20)
+    cases = [(s, n) for s in range(7) for n in (2, 3, 2**60, 2**60 + 1, 10**18)]
+    cases += [(rng.randrange(7), rng.randrange(2, 10**18 + 1)) for _ in range(3000)]
+    for s, n in cases:
+        q = sq.p(s, n)
+        assert sq.as_via_a0(s, q) == n, (s, n)
+        assert sq.as_via_a0(s, q - 1) == n - 1, (s, n)
+        assert trees.locate(s, q).is_leaf, (s, n)
+    assert time.monotonic() - started < 1.0
+
+
+def test_p_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        sq.p(-1, 5)
+    with pytest.raises(ValueError):
+        sq.p(2, 0)
 
 
 def test_a_counts_ones_of_d():
@@ -155,6 +179,7 @@ def test_shared_table_is_thread_safe():
     import threading
 
     shared = sq.SequenceTable(3)
+    spec = sq.GenericMetaFibSpec(0, 1, (1, 1))
     failures = []
 
     def worker(seed):
@@ -162,20 +187,35 @@ def test_shared_table_is_thread_safe():
             if shared.a(n) != sq.a(3, n):
                 failures.append(n)
 
+    def generic_worker(seed):
+        for n in range(seed, 6000, 7):
+            if sq.generic_metafib(spec, n) != sq.a(0, n):
+                failures.append(("generic", n))
+
     threads = [threading.Thread(target=worker, args=(k,)) for k in range(1, 8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    threads += [threading.Thread(target=generic_worker, args=(k,)) for k in range(7)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert not failures
     assert shared.prefix(6000) == sq.table(3).prefix(6000)
 
 
 def test_generic_matches_shift_family():
+    # against the tree oracle: a(s, 0) is the base value 1, then leaf counts
     for s in range(4):
         spec = sq.shift_family_spec(s)
-        for n in range(0, 400):
-            assert sq.generic_metafib(spec, n) == sq.a(s, n)
+        scan = trees.leaf_count_scan(s, 399)
+        assert sq.generic_metafib(spec, 0) == 1
+        for n in range(1, 400):
+            assert sq.generic_metafib(spec, n) == scan[n]
 
 
 def test_generic_death():

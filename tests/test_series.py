@@ -164,6 +164,6 @@ def test_gf_midrange_against_sequences():
         for n in range(1, order + 1):
             assert ds.coefficient(n) == t.d(n)
             assert aa.coefficient(n) == t.a(n)
-            assert pp.coefficient(n) == t.p(n)
+            assert pp.coefficient(n) == sq.p(s, n)
         if s >= 1:
             assert gf_As(s, order) == aa

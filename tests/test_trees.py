@@ -58,6 +58,8 @@ def test_oracle_matches_sequences_midrange():
             flag = trees.is_leaf_oracle(s, n)
             assert flag == t.d(n)
             running += flag
+            if flag:
+                assert sq.p(s, running) == n
             assert running == t.a(n)
 
 

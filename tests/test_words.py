@@ -48,6 +48,18 @@ def test_ruler_factorization_values():
     assert words.ruler_factorization(2, 3) == "10010001"
 
 
+def test_ruler_factorization_length_and_guard():
+    for s in range(4):
+        for terms in range(1, 300):
+            built = words.ruler_factorization(s, terms)
+            assert len(built) == sq.p(s, terms + 1) - 1
+    # 2**21 + 1 terms of shift 0 fill exactly 2**22 characters
+    assert sq.p(0, 2**21 + 2) - 1 == words.LENGTH_GUARD
+    for s, terms in ((0, 2**21 + 2), (3, 10**8)):
+        with pytest.raises(ValueError, match="ruler_factorization guard"):
+            words.ruler_factorization(s, terms)
+
+
 def test_morphism_values():
     assert words.morphism_fixed_point(3) == "110"
     assert words.morphism_fixed_point(7) == "1101100" == words.word_E(2)

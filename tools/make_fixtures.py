@@ -3,10 +3,17 @@
 
 The build is hermetic, so the fixtures are produced locally:
 
-* A005187 and A001511 come from independent closed forms
-  (2n - popcount(n), and the 2-adic valuation plus one),
+* A001511 comes from an independent closed form (the 2-adic valuation
+  plus one);
+* A005187 comes from 2n - popcount(n), which is exactly the closed form
+  that ``sequences.p(0, n + 1) - 1`` serves, so it pins those values but
+  is not an independent check of ``p``;
 * the other four come from the tree-structural oracle, so checking them
   against the recurrence evaluators still compares two different routes.
+  A101925 is the fixture that checks ``p`` independently.
+
+``tests/test_oeis.py`` runs ``main`` into a temporary directory and
+compares the result with ``tests/data`` byte for byte.
 
 Index 0 entries of A046699/A006949 are the base-value seed 1 (the tree
 prefix of length 0 has no leaves; the convention here is value 1).
@@ -62,7 +69,7 @@ def main():
     # A101925(n) = p(0, n+1) for n >= 0
     write("bA101925.txt",
           [(n, positions0[n]) for n in range(0, TERMS + 1)])
-    # A005187(n) = 2n - popcount(n), independently of everything above
+    # A005187(n) = 2n - popcount(n): the closed form that sequences.p serves
     write("bA005187.txt",
           [(n, 2 * n - bin(n).count("1")) for n in range(0, TERMS + 1)])
     # A001511(n) = 2-adic valuation of n, plus one
