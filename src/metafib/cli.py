@@ -13,6 +13,13 @@ import sys
 from . import codes, compositions, oeis, sequences, series, trees, verify, words
 
 GF_ORDER_GUARD = 1 << 16
+DUMP_GUARD = 1 << 22  # most values (or mtable cells) one range dump prints
+
+
+def _guard_dump(count):
+    if count > DUMP_GUARD:
+        raise ValueError(f"dump guard: at most {DUMP_GUARD} values per call, "
+                         f"asked for {count}")
 
 
 def _emit_pairs(pairs, fmt, out):
@@ -35,6 +42,7 @@ def _cmd_seq(args, out):
     start, stop = args.start, args.to
     if start < 1 or stop < start:
         raise ValueError("need 1 <= from <= to")
+    _guard_dump(stop - start + 1)
     fn = {"a": sequences.a, "d": sequences.d, "p": sequences.p}[args.which]
     pairs = [(n, fn(args.s, n)) for n in range(start, stop + 1)]
     _emit_pairs(pairs, args.format, out)
@@ -85,16 +93,19 @@ def _cmd_codes(args, out):
     elif sub == "mtable":
         if args.nmax < 2:
             raise ValueError("nmax must be >= 2")
+        _guard_dump((args.nmax - 1) ** 2)
         heights = range(1, args.nmax)
         for n in range(2, args.nmax + 1):
             row = [str(codes.M(n, h)) for h in heights]
             out.write("\t".join([str(n)] + row) + "\n")
     elif sub == "amax":
         start = max(args.start, 2)
+        _guard_dump(args.to - start + 1)
         pairs = [(n, codes.a_max(n)) for n in range(start, args.to + 1)]
         _emit_pairs(pairs, args.format, out)
     elif sub == "bseq":
         start = max(args.start, 1)
+        _guard_dump(args.to - start + 1)
         pairs = [(n, codes.b_seq(n)) for n in range(start, args.to + 1)]
         _emit_pairs(pairs, args.format, out)
     return 0

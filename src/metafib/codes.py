@@ -83,7 +83,9 @@ def enumerate_codes(n: int, h: int | None = None) -> list:
     """Every code with n leaves (and height exactly h, if given), sorted.
 
     Exhaustive search over non-increasing level tuples with exact Kraft
-    accounting in integer units; n is capped to keep the search small.
+    accounting in integer units, pruned where the remaining units cannot
+    be split into the pieces still allowed; n is capped to keep the search
+    small.
     """
     if n < 2:
         raise ValueError("codes need n >= 2")
@@ -105,6 +107,10 @@ def enumerate_codes(n: int, h: int | None = None) -> list:
                 return
             for level in range(cap, 0, -1):
                 piece = 1 << (top - level)
+                # every later piece is a power of two >= piece, so piece must
+                # divide remaining; then no larger piece divides it either
+                if remaining % piece:
+                    break
                 # later pieces are at least this large
                 if piece * count_left > remaining:
                     continue

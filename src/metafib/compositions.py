@@ -3,10 +3,15 @@
 For shift s >= 1 a composition of n is a sequence x_0, x_1, ..., x_k with
 x_0 in {1, ..., s} and x_i in {s, 2**i + s - 1} for i >= 1, summing to n.
 The number of them is a(s, n); the count here is computed by a layered
-dynamic program that never touches the recurrence.
+dynamic program that never touches the recurrence.  The layers are run
+only while the big part 2**i + s - 1 still fits under the limit; past
+that, only the part s fits, so the remaining layers are shifts of the last
+one by s, 2s, ... and are folded in with one strided running sum.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 ENUM_GUARD = 64
 
@@ -26,7 +31,11 @@ def counts_up_to(s: int, limit: int) -> list:
     """Composition counts for every target 0..limit (index 0 is 0).
 
     layer[r] holds the number of ways to reach sum r using positions
-    0..i exactly; each finished layer is folded into the totals.
+    0..i exactly; each finished layer is folded into the totals.  Once the
+    big part 2**i + s - 1 exceeds limit, position i and every later one can
+    only take the part s, so the layers still to come are the current one
+    shifted by s, 2s, ...; a strided running sum adds them all at once.
+    O(limit * log limit) in all.
     """
     if s < 1:
         raise ValueError("composition rules need s >= 1")
@@ -37,21 +46,15 @@ def counts_up_to(s: int, limit: int) -> list:
     for x in range(1, min(s, limit) + 1):
         layer[x] = 1
     i = 1
-    while any(layer):
-        for r in range(limit + 1):
-            if layer[r]:
-                total[r] += layer[r]
-        big = (1 << i) + s - 1
-        nxt = [0] * (limit + 1)
-        for r in range(limit + 1 - s):
-            c = layer[r]
-            if c:
-                nxt[r + s] += c
-                if r + big <= limit:
-                    nxt[r + big] += c
+    while (big := (1 << i) + s - 1) <= limit:
+        total = list(map(add, total, layer))
+        nxt = [0] * s + layer[: limit + 1 - s]
+        nxt[big:] = map(add, nxt[big:], layer[: limit + 1 - big])
         layer = nxt
         i += 1
-    return total
+    for r in range(s, limit + 1):
+        layer[r] += layer[r - s]
+    return list(map(add, total, layer))
 
 
 def count_compositions(s: int, n: int) -> int:

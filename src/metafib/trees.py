@@ -9,6 +9,7 @@ to the recurrence module, so it can serve as an independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 SUBTREE_NODE = "subtree-node"
 SUPER_NODE = "super-node"
@@ -86,13 +87,21 @@ def leaves_in_prefix(s: int, n: int) -> int:
 
 
 def leaf_count_scan(s: int, n_max: int) -> list:
-    """Running leaf counts for prefixes 1..n_max (index 0 unused, set to 0)."""
-    counts = [0] * (n_max + 1)
-    running = 0
-    for i in range(1, n_max + 1):
-        running += is_leaf_oracle(s, i)
-        counts[i] = running
-    return counts
+    """Running leaf counts for prefixes 1..n_max (index 0 unused, set to 0).
+
+    One preorder sweep of the forest's structure: the one-node tree, then
+    for h = 1, 2, ... the s path labels and the complete subtree of height
+    h, whose preorder leaf flags are [0] + F(h-1) + F(h-1) with F(1) = [1].
+    """
+    if s < 0 or n_max < 0:
+        raise ValueError("leaf_count_scan needs s >= 0, n_max >= 0")
+    flags = [1]
+    subtree = [1]  # preorder leaf flags of the complete subtree of height h
+    while len(flags) < n_max:
+        flags += [0] * s
+        flags += subtree
+        subtree = [0] + subtree + subtree
+    return [0, *accumulate(flags[:n_max])]
 
 
 def _draw_subtree(lines, prefix, child_prefix, label, height, n_cap):

@@ -9,6 +9,7 @@ whether everything held.  Depth presets: "quick" for a fast smoke pass,
 from __future__ import annotations
 
 import sys
+from itertools import accumulate
 
 from . import codes, compositions, sequences, series, trees, words
 
@@ -20,6 +21,20 @@ class IdentityFailure(AssertionError):
 def _need(ok, detail):
     if not ok:
         raise IdentityFailure(detail)
+
+
+def _agree(got, want, detail):
+    """Compare two sequences whole; on a mismatch raise detail(i) for the first.
+
+    ``detail`` maps the first differing index (or, when the lengths differ,
+    the shorter length) to the failure text, so no text is formatted for
+    the values that agree.
+    """
+    got, want = list(got), list(want)
+    if got != want:
+        i = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y),
+                 min(len(got), len(want)))
+        raise IdentityFailure(detail(i))
 
 
 def _bounds(depth: str) -> dict:
@@ -47,86 +62,85 @@ def _bounds(depth: str) -> dict:
 def _check_steps(b):
     for s in range(b["shift_max"] + 1):
         vals = sequences.table(s).prefix(b["n_seq"])
-        for n in range(1, b["n_seq"]):
-            step = vals[n + 1] - vals[n]
-            _need(step in (0, 1), f"a({s},{n+1}) - a({s},{n}) = {step}")
+        steps = [y - x for x, y in zip(vals[1:], vals[2:])]
+        _agree([step in (0, 1) for step in steps], [True] * len(steps),
+               lambda i: f"a({s},{i+2}) - a({s},{i+1}) = {steps[i]}")
 
 
 def _check_evaluators(b):
+    top = b["n_eval"]
+    labels = range(1, top + 1)
     for s in range(b["shift_max"] + 1):
-        vals = sequences.table(s).prefix(b["n_eval"])
-        for n in range(1, b["n_eval"] + 1):
-            _need(sequences.as_via_a0(s, n) == vals[n], f"as_via_a0({s},{n})")
-            _need(sequences.as_descent(s, n) == vals[n], f"as_descent({s},{n})")
-    for n in range(0, b["n_eval"] + 1):
-        _need(sequences.a0_fast(n) == sequences.a(0, n), f"a0_fast({n})")
-    for n in range(1, b["n_eval"] + 1):
-        _need(sequences.a1_fast(n) == sequences.a(1, n), f"a1_fast({n})")
+        vals = sequences.table(s).prefix(top)[1:]
+        _agree([sequences.as_via_a0(s, n) for n in labels], vals,
+               lambda i: f"as_via_a0({s},{i+1})")
+        _agree([sequences.as_descent(s, n) for n in labels], vals,
+               lambda i: f"as_descent({s},{i+1})")
+    _agree(map(sequences.a0_fast, range(top + 1)), sequences.table(0).prefix(top),
+           lambda i: f"a0_fast({i})")
+    _agree(map(sequences.a1_fast, labels), sequences.table(1).prefix(top)[1:],
+           lambda i: f"a1_fast({i+1})")
 
 
 def _check_tree_flags(b):
+    labels = range(1, b["n_tree"] + 1)
     for s in range(b["shift_max"] + 1):
         t = sequences.table(s)
-        t.extend_to(b["n_tree"])
-        for n in range(1, b["n_tree"] + 1):
-            _need(trees.is_leaf_oracle(s, n) == t.d(n), f"leaf flag s={s} n={n}")
+        _agree([trees.is_leaf_oracle(s, n) for n in labels], map(t.d, labels),
+               lambda i: f"leaf flag s={s} n={i+1}")
 
 
 def _check_tree_counts(b):
     for s in range(b["shift_max"] + 1):
         vals = sequences.table(s).prefix(b["n_tree"])
         scan = trees.leaf_count_scan(s, b["n_tree"])
-        _need(scan[1:] == vals[1:], f"prefix leaf counts s={s}")
+        _agree(scan[1:], vals[1:], lambda i: f"prefix leaf counts s={s} n={i+1}")
 
 
 def _check_first_hits(b):
     for s in range(b["shift_max"] + 1):
         t = sequences.table(s)
-        top = t.a(b["n_seq"])
-        for n in range(2, top + 1):
-            pos = sequences.p(s, n)
-            _need(t.a(pos) == n and t.a(pos - 1) == n - 1, f"p({s},{n})={pos}")
+        hits = range(2, t.a(b["n_seq"]) + 1)
+        pos = [sequences.p(s, n) for n in hits]
+        _agree([(t.a(q), t.a(q - 1)) for q in pos], [(n, n - 1) for n in hits],
+               lambda i: f"p({s},{i+2})={pos[i]}")
 
 
 def _check_p_differences(b):
     for s in range(b["shift_max"] + 1):
-        t = sequences.table(s)
-        top = t.a(b["n_seq"])
-        for n in range(1, top):
-            gap = sequences.p(s, n + 1) - sequences.p(s, n)
-            want = sequences.ruler(n) + (s if sequences.is_power_of_two(n) else 0)
-            _need(gap == want, f"p gap s={s} n={n}: {gap} != {want}")
+        ranks = range(1, sequences.table(s).a(b["n_seq"]))
+        gaps = [sequences.p(s, n + 1) - sequences.p(s, n) for n in ranks]
+        want = [sequences.ruler(n) + (s if sequences.is_power_of_two(n) else 0)
+                for n in ranks]
+        _agree(gaps, want, lambda i: f"p gap s={s} n={i+1}: {gaps[i]} != {want[i]}")
 
 
 def _check_ones_count(b):
+    labels = range(1, b["n_seq"] + 1)
     for s in range(b["shift_max"] + 1):
         t = sequences.table(s)
-        running = 0
-        for n in range(1, b["n_seq"] + 1):
-            running += t.d(n)
-            _need(t.a(n) == running, f"ones count s={s} n={n}")
+        _agree(map(t.a, labels), accumulate(map(t.d, labels)),
+               lambda i: f"ones count s={s} n={i+1}")
 
 
 def _check_doubling(b):
     # k = 0 is excluded: with a(0,0) = 1 the identity holds only for k >= 1
+    vals = sequences.table(0).prefix((2 << b["double_h"]) - 2)
     for h in range(1, b["double_h"] + 1):
         block = 1 << h
-        for k in range(1, block):
-            _need(
-                sequences.a(0, block - 1 + k) == (block >> 1) + sequences.a(0, k),
-                f"doubling h={h} k={k}",
-            )
+        _agree(vals[block : 2 * block - 1], [(block >> 1) + v for v in vals[1:block]],
+               lambda i: f"doubling h={h} k={i+1}")
 
 
 def _check_word_stream(b):
     for s in range(min(b["shift_max"], 4) + 1):
         t = sequences.table(s)
         w = words.dword_prefix(s, b["word_bits"])
-        for n in range(1, b["word_bits"] + 1):
-            _need(int(w[n - 1]) == t.d(n), f"stream bit s={s} n={n}")
+        _agree(map(int, w), map(t.d, range(1, b["word_bits"] + 1)),
+               lambda i: f"stream bit s={s} n={i+1}")
         ones = [i + 1 for i, c in enumerate(w) if c == "1"]
-        for rank, pos in enumerate(ones, 1):
-            _need(sequences.p(s, rank) == pos, f"ones positions s={s} rank={rank}")
+        _agree([sequences.p(s, rank) for rank in range(1, len(ones) + 1)], ones,
+               lambda i: f"ones positions s={s} rank={i+1}")
 
 
 def _check_ruler_factorization(b):
@@ -160,17 +174,19 @@ def _check_word_pair(b):
 
 def _check_ruler_gf(b):
     gf = series.gf_ruler(b["order"])
-    for n in range(1, b["order"] + 1):
-        _need(gf.coefficient(n) == sequences.ruler(n), f"ruler gf at {n}")
+    orders = range(1, b["order"] + 1)
+    _agree(map(gf.coefficient, orders), map(sequences.ruler, orders),
+           lambda i: f"ruler gf at {i+1}")
 
 
 def _check_d_gf(b):
     order = b["order"]
+    orders = range(1, order + 1)
     for s in range(min(b["shift_max"], 4) + 1):
         t = sequences.table(s)
         ds = series.gf_Ds_sum(s, order)
-        for n in range(1, order + 1):
-            _need(ds.coefficient(n) == t.d(n), f"d gf s={s} n={n}")
+        _agree(map(ds.coefficient, orders), map(t.d, orders),
+               lambda i: f"d gf s={s} n={i+1}")
         nested = series.gf_Ds_nested(s, b["order_nested"], b["nested_depth"])
         _need(
             nested == series.gf_Ds_sum(s, b["order_nested"]),
@@ -180,22 +196,24 @@ def _check_d_gf(b):
 
 def _check_a_gf(b):
     order = b["order"]
+    orders = range(1, order + 1)
     for s in range(min(b["shift_max"], 4) + 1):
         t = sequences.table(s)
         quo = series.gf_A_from_D(s, order)
-        for n in range(1, order + 1):
-            _need(quo.coefficient(n) == t.a(n), f"a gf s={s} n={n}")
+        _agree(map(quo.coefficient, orders), map(t.a, orders),
+               lambda i: f"a gf s={s} n={i+1}")
         if s >= 1:
             _need(series.gf_As(s, order) == quo, f"product form s={s}")
 
 
 def _check_p_gf(b):
     order = b["order"]
+    orders = range(1, order + 1)
     for s in range(min(b["shift_max"], 4) + 1):
         gf = series.gf_Ps(s, order)
         _need(gf.coefficient(0) == 1, f"p gf constant s={s}")
-        for n in range(1, order + 1):
-            _need(gf.coefficient(n) == sequences.p(s, n), f"p gf s={s} n={n}")
+        _agree(map(gf.coefficient, orders), [sequences.p(s, n) for n in orders],
+               lambda i: f"p gf s={s} n={i+1}")
 
 
 def _check_composition_counts(b):
@@ -203,7 +221,7 @@ def _check_composition_counts(b):
     for s in range(1, 5):
         counted = compositions.counts_up_to(s, top)
         vals = sequences.table(s).prefix(top)
-        _need(counted[1:] == vals[1:], f"composition counts s={s}")
+        _agree(counted[1:], vals[1:], lambda i: f"composition counts s={s} n={i+1}")
 
 
 def _check_composition_enum(b):
@@ -246,13 +264,15 @@ def _check_dominance(b):
 
 
 def _check_bridge_amax(b):
-    for n in range(2, b["bridge_n"] + 1):
-        _need(codes.a_max(n) == sequences.a(1, n - 1), f"a_max({n})")
+    top = b["bridge_n"]
+    _agree(map(codes.a_max, range(2, top + 1)), sequences.table(1).prefix(top - 1)[1:],
+           lambda i: f"a_max({i+2})")
 
 
 def _check_bridge_bseq(b):
-    for n in range(1, b["bridge_n"] + 1):
-        _need(codes.b_seq(n) == sequences.a(0, n), f"b_seq({n})")
+    top = b["bridge_n"]
+    _agree(map(codes.b_seq, range(1, top + 1)), sequences.table(0).prefix(top)[1:],
+           lambda i: f"b_seq({i+1})")
 
 
 def _check_height_stability(b):

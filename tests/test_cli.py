@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from metafib import cli
 from metafib import sequences as sq
 from metafib.cli import main
 
@@ -191,6 +192,31 @@ def test_word_runs_guard_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "ruler_factorization guard" in err and str(2**22) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["seq", "a", "--from", "5", "--to", str(2**22 + 5)],
+    ["codes", "amax", "--to", str(2**22 + 2)],
+    ["codes", "bseq", "--from", "10", "--to", str(2**22 + 10)],
+    ["codes", "mtable", "--nmax", "100000"],
+])
+def test_range_dump_guard_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "dump guard" in err and str(2**22) in err
+
+
+def test_range_dump_at_the_guard_is_allowed(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "DUMP_GUARD", 9)
+    code, out, _ = run_cli(capsys, "codes", "mtable", "--nmax", "4")
+    assert code == 0 and len(out.splitlines()) == 3
+    code, _, err = run_cli(capsys, "codes", "mtable", "--nmax", "5")
+    assert code == 2 and "at most 9 values" in err
+    code, out, _ = run_cli(capsys, "seq", "a", "--from", "3", "--to", "11")
+    assert code == 0 and len(out.splitlines()) == 9
+    code, _, err = run_cli(capsys, "seq", "a", "--from", "3", "--to", "12")
+    assert code == 2 and "asked for 10" in err
 
 
 def test_word_and_tree_smoke(capsys):

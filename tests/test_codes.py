@@ -79,6 +79,17 @@ def test_enumerate_codes_guard():
         enumerate_codes(1)
 
 
+def test_enumeration_sizes_match_A002572():
+    # compositions of 1 into powers of 1/2 (OEIS A002572), counted outside
+    want = [1, 1, 2, 3, 5, 9, 16, 28, 50, 89, 159, 285, 510, 914, 1639]
+    for n, size in zip(range(2, 17), want):
+        assert len(enumerate_codes(n)) == size
+        assert sum(len(enumerate_codes(n, h)) for h in range(1, n)) == size
+    start = time.perf_counter()
+    enumerate_codes(16)
+    assert time.perf_counter() - start < 2.0
+
+
 def test_every_enumerated_code_is_valid():
     for n in range(2, 11):
         for code in enumerate_codes(n):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from metafib import sequences as sq
@@ -54,6 +56,23 @@ def test_counts_match_recurrence():
         counted = counts_up_to(s, 400)
         vals = sq.table(s).prefix(400)
         assert counted[1:] == vals[1:]
+
+
+def test_counts_where_the_layers_give_way_to_the_fold():
+    # the layered DP stops once the big part 2**i + s - 1 exceeds the limit
+    for s in range(1, 7):
+        limits = set(range(s + 2))
+        for i in range(1, 12):
+            big = (1 << i) + s - 1
+            limits |= {big - 1, big, big + 1}
+        for limit in sorted(limits):
+            counted = counts_up_to(s, limit)
+            assert len(counted) == limit + 1 and counted[0] == 0
+            assert counted[1:] == sq.table(s).prefix(limit)[1:]
+    start = time.perf_counter()
+    counted = counts_up_to(1, 20000)
+    assert time.perf_counter() - start < 2.0
+    assert counted[1:] == sq.table(1).prefix(20000)[1:]
 
 
 def test_counts_match_product_generating_function():

@@ -69,6 +69,17 @@ def test_scan_matches_prefix_function():
         assert scan[n] == trees.leaves_in_prefix(2, n)
 
 
+def test_scan_sweep_matches_locate():
+    for s in range(7):
+        running = [0]
+        for n in range(1, 5001):
+            running.append(running[-1] + trees.is_leaf_oracle(s, n))
+        assert trees.leaf_count_scan(s, 5000) == running
+    assert trees.leaf_count_scan(3, 0) == [0]
+    with pytest.raises(ValueError):
+        trees.leaf_count_scan(-1, 5)
+
+
 def test_adjacent_leaves_are_siblings():
     # past the base range, two leaf flags in a row mean a left/right pair
     for s in range(4):

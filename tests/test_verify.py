@@ -1,0 +1,49 @@
+import io
+
+import pytest
+
+from metafib import compositions, sequences, verify
+
+
+def run_quick():
+    out = io.StringIO()
+    ok = verify.run_all("quick", stream=out)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == len(verify.IDENTITIES)
+    return ok, lines
+
+
+def test_evaluator_mismatch_names_the_first_bad_label(monkeypatch):
+    real = sequences.as_descent
+    monkeypatch.setattr(sequences, "as_descent",
+                        lambda s, n: real(s, n) + (s == 2 and n == 3001))
+    ok, lines = run_quick()
+    assert not ok
+    bad = "FAIL  closed-form evaluators match the recurrence: as_descent(2,3001)"
+    assert lines == [bad if line.endswith(" match the recurrence") else line
+                     for line in (f"PASS  {name}" for name, _ in verify.IDENTITIES)]
+
+
+def test_composition_count_mismatch_fails_only_its_identity(monkeypatch):
+    real = compositions.counts_up_to
+
+    def off_at_150(s, limit):
+        counted = real(s, limit)
+        if limit >= 150:
+            counted[150] += 1
+        return counted
+
+    monkeypatch.setattr(compositions, "counts_up_to", off_at_150)
+    ok, lines = run_quick()
+    assert not ok
+    failed = [line for line in lines if not line.startswith("PASS")]
+    assert failed == ["FAIL  composition counts equal the leaf counts: "
+                      "composition counts s=1 n=150"]
+
+
+def test_agree_reports_the_first_mismatch_and_a_length_mismatch():
+    verify._agree([1, 2], iter([1, 2]), str)
+    with pytest.raises(verify.IdentityFailure, match="^missing index 2$"):
+        verify._agree([1, 2], [1, 2, 3], lambda i: f"missing index {i}")
+    with pytest.raises(verify.IdentityFailure, match="^bad index 1$"):
+        verify._agree([1, 2], [1, 3], lambda i: f"bad index {i}")
