@@ -8,6 +8,7 @@ byte-identical text.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import codes, compositions, oeis, sequences, series, trees, verify, words
@@ -22,20 +23,17 @@ def _guard_dump(count):
                          f"asked for {count}")
 
 
+# Each dump is formatted into one string and written once.
 def _emit_pairs(pairs, fmt, out):
-    for n, value in pairs:
-        if fmt == "plain":
-            out.write(f"{value}\n")
-        elif fmt == "tsv":
-            out.write(f"{n}\t{value}\n")
-        else:  # bfile
-            out.write(f"{n} {value}\n")
+    if fmt == "plain":
+        out.write("".join([f"{value}\n" for _, value in pairs]))
+    else:  # tsv or bfile
+        _emit_table(pairs, fmt, out)
 
 
 def _emit_table(pairs, fmt, out):
     sep = "\t" if fmt == "tsv" else " "
-    for n, value in pairs:
-        out.write(f"{n}{sep}{value}\n")
+    out.write("".join([f"{n}{sep}{value}\n" for n, value in pairs]))
 
 
 def _cmd_seq(args, out):
@@ -43,9 +41,13 @@ def _cmd_seq(args, out):
     if start < 1 or stop < start:
         raise ValueError("need 1 <= from <= to")
     _guard_dump(stop - start + 1)
-    fn = {"a": sequences.a, "d": sequences.d, "p": sequences.p}[args.which]
-    pairs = [(n, fn(args.s, n)) for n in range(start, stop + 1)]
-    _emit_pairs(pairs, args.format, out)
+    if args.which == "p":
+        values = [sequences.p(args.s, n) for n in range(start, stop + 1)]
+    else:
+        # one table growth and one slice per dump, not a lookup per value
+        t = sequences.table(args.s)
+        values = t.values(start, stop) if args.which == "a" else t.d_values(start, stop)
+    _emit_pairs(zip(range(start, stop + 1), values), args.format, out)
     return 0
 
 
@@ -258,9 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves a parser unchanged, so one serves every main() call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args, sys.stdout)
     except oeis.BFileError as exc:

@@ -18,6 +18,7 @@ numbers so that they can be cross-checked.
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -140,10 +141,30 @@ class SequenceTable:
             return 1
         return self.a(n) - self.a(n - 1)
 
+    def values(self, lo: int, hi: int) -> list:
+        """Values a(lo..hi) as a list (a copy; safe to mutate); one growth.
+
+        A generic table that went DEAD returns only its values below the
+        escape index, as ``prefix`` does.
+        """
+        if lo < 0:
+            raise ValueError("a(s, n) needs n >= 0")
+        self.extend_to(hi)
+        return self._a[lo : hi + 1]
+
+    def d_values(self, lo: int, hi: int) -> list:
+        """Values d(lo..hi), differences of one window ``values(lo - 1, hi)``."""
+        if lo < 1:
+            raise ValueError("d(s, n) needs n >= 1")
+        window = self.values(lo - 1, hi)
+        out = list(map(operator.sub, window[1:], window))
+        if lo == 1 and out:
+            out[0] = 1  # label 1 is a leaf; a(0) = a(1) = 1 by the base values
+        return out
+
     def prefix(self, n: int) -> list:
         """Values a(0..n) as a list (a copy; safe to mutate)."""
-        self.extend_to(n)
-        return self._a[: n + 1]
+        return self.values(0, n)
 
 
 # One table per shift s (key: the int) and per generic spec (key: the spec).

@@ -7,7 +7,8 @@ units of the form 1 - z^m, handled by prefix sums.
 
 from __future__ import annotations
 
-from . import sequences
+import itertools
+import operator
 
 
 class TruncatedSeries:
@@ -25,8 +26,18 @@ class TruncatedSeries:
             raise ValueError("order must be >= 0")
         if len(coeffs) < order + 1:
             coeffs.extend([0] * (order + 1 - len(coeffs)))
+        else:
+            del coeffs[order + 1 :]
         self.order = order
-        self._c = coeffs[: order + 1]
+        self._c = coeffs
+
+    @classmethod
+    def _adopt(cls, coeffs: list, order: int) -> "TruncatedSeries":
+        """Wrap a fresh list of exactly order + 1 coefficients, uncopied."""
+        series = cls.__new__(cls)
+        series.order = order
+        series._c = coeffs
+        return series
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
@@ -69,17 +80,15 @@ class TruncatedSeries:
         shown = ", ".join(f"{c}*z^{i}" for i, c in enumerate(self._c) if c)
         return f"TruncatedSeries(order={self.order}: {shown or '0'})"
 
+    # Every _c holds exactly order + 1 coefficients, so map stops at the
+    # lower order of the two operands.
     def __add__(self, other):
         n = min(self.order, other.order)
-        return TruncatedSeries(
-            [x + y for x, y in zip(self._c[: n + 1], other._c[: n + 1])], n
-        )
+        return TruncatedSeries._adopt(list(map(operator.add, self._c, other._c)), n)
 
     def __sub__(self, other):
         n = min(self.order, other.order)
-        return TruncatedSeries(
-            [x - y for x, y in zip(self._c[: n + 1], other._c[: n + 1])], n
-        )
+        return TruncatedSeries._adopt(list(map(operator.sub, self._c, other._c)), n)
 
     def __mul__(self, other):
         n = min(self.order, other.order)
@@ -99,28 +108,24 @@ class TruncatedSeries:
             else:
                 for j in range(min(len(b) - 1, top) + 1):
                     out[i + j] += ci * b[j]
-        return TruncatedSeries(out, n)
+        return TruncatedSeries._adopt(out, n)
 
     def scale(self, factor: int) -> "TruncatedSeries":
-        return TruncatedSeries([factor * c for c in self._c], self.order)
+        return TruncatedSeries._adopt([factor * c for c in self._c], self.order)
 
     def shift_by_power(self, k: int) -> "TruncatedSeries":
         """Multiply by z**k (coefficients above the order fall off)."""
         if k < 0:
             raise ValueError("shift must be >= 0")
-        if k == 0:
-            return TruncatedSeries(self._c, self.order)
         n = self.order
-        return TruncatedSeries([0] * k + self._c[: max(n + 1 - k, 0)], n)
+        keep = max(n + 1 - k, 0)
+        out = [0] * (n + 1 - keep)
+        out += self._c[:keep]
+        return TruncatedSeries._adopt(out, n)
 
     def prefix_sums(self) -> "TruncatedSeries":
         """Divide by 1 - z: running sums of the coefficients."""
-        out = []
-        running = 0
-        for c in self._c:
-            running += c
-            out.append(running)
-        return TruncatedSeries(out, self.order)
+        return TruncatedSeries._adopt(list(itertools.accumulate(self._c)), self.order)
 
 
 def geom_inverse(m: int, order: int) -> TruncatedSeries:
@@ -225,7 +230,7 @@ def _strided_tail(series: TruncatedSeries, stride: int) -> TruncatedSeries:
     out = [0] * (n + 1)
     for i in range(stride, n + 1):
         out[i] = out[i - stride] + src[i - stride]
-    return TruncatedSeries(out, n)
+    return TruncatedSeries._adopt(out, n)
 
 
 def gf_As(s: int, order: int) -> TruncatedSeries:

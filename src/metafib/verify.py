@@ -71,14 +71,14 @@ def _check_evaluators(b):
     top = b["n_eval"]
     labels = range(1, top + 1)
     for s in range(b["shift_max"] + 1):
-        vals = sequences.table(s).prefix(top)[1:]
+        vals = sequences.table(s).values(1, top)
         _agree([sequences.as_via_a0(s, n) for n in labels], vals,
                lambda i: f"as_via_a0({s},{i+1})")
         _agree([sequences.as_descent(s, n) for n in labels], vals,
                lambda i: f"as_descent({s},{i+1})")
     _agree(map(sequences.a0_fast, range(top + 1)), sequences.table(0).prefix(top),
            lambda i: f"a0_fast({i})")
-    _agree(map(sequences.a1_fast, labels), sequences.table(1).prefix(top)[1:],
+    _agree(map(sequences.a1_fast, labels), sequences.table(1).values(1, top),
            lambda i: f"a1_fast({i+1})")
 
 
@@ -265,13 +265,13 @@ def _check_dominance(b):
 
 def _check_bridge_amax(b):
     top = b["bridge_n"]
-    _agree(map(codes.a_max, range(2, top + 1)), sequences.table(1).prefix(top - 1)[1:],
+    _agree(map(codes.a_max, range(2, top + 1)), sequences.table(1).values(1, top - 1),
            lambda i: f"a_max({i+2})")
 
 
 def _check_bridge_bseq(b):
     top = b["bridge_n"]
-    _agree(map(codes.b_seq, range(1, top + 1)), sequences.table(0).prefix(top)[1:],
+    _agree(map(codes.b_seq, range(1, top + 1)), sequences.table(0).values(1, top),
            lambda i: f"b_seq({i+1})")
 
 

@@ -86,5 +86,5 @@ def morphism_fixed_point(length: int) -> str:
         raise ValueError(f"morphism_fixed_point guard: length <= {LENGTH_GUARD}")
     w = "1"
     while len(w) < length:
-        w = "".join("110" if c == "1" else "0" for c in w)
+        w = w.replace("1", "110")  # 0 is fixed, so only the 1s expand
     return w[:length]

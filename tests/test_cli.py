@@ -347,3 +347,61 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["seq", "q", "--to", "5"])
     assert exc.value.code == 2
+
+
+# Windows for the bulk seq path: the d(1) = 1 edge, single values, and
+# ranges across the powers of two where a new block of the forest starts.
+SEQ_WINDOWS = [(1, 1), (1, 40), (2, 2), (7, 9), (15, 17), (60, 70), (127, 129),
+               (250, 260), (1000, 1100)]
+
+
+def reference_dump(which, s, lo, hi, fmt):
+    fn = {"a": sq.a, "d": sq.d, "p": sq.p}[which]
+    lines = []
+    for n in range(lo, hi + 1):
+        value = fn(s, n)
+        lines.append({"plain": f"{value}", "tsv": f"{n}\t{value}",
+                      "bfile": f"{n} {value}"}[fmt])
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "tsv", "bfile"])
+@pytest.mark.parametrize("which", ["a", "d", "p"])
+def test_bulk_seq_matches_per_value(capsys, which, fmt):
+    for s in range(7):
+        for lo, hi in SEQ_WINDOWS:
+            code, out, _ = run_cli(capsys, "seq", which, "--s", str(s), "--from", str(lo),
+                                   "--to", str(hi), "--format", fmt)
+            assert code == 0
+            assert out == reference_dump(which, s, lo, hi, fmt), (which, s, lo, hi)
+
+
+def test_bulk_seq_rejects_negative_shift(capsys):
+    for which in "adp":
+        code, _, err = run_cli(capsys, "seq", which, "--s", "-1", "--to", "5")
+        assert code == 2 and "error" in err
+
+
+def _run_main(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cached_parser_carries_no_state(capsys, monkeypatch):
+    sequence = [
+        ["seq", "a", "--s", "2", "--to", "12", "--format", "tsv"],
+        ["seq", "a", "--s", "2", "--to", "12"],
+        ["seq", "a", "--from", "3"],  # usage error: --to is required
+        ["gf", "D", "--s", "1", "--order", "20"],
+        ["codes", "amax", "--to", "20"],
+    ]
+    assert cli._parser() is cli._parser()
+    cached = [_run_main(argv, capsys) for argv in sequence]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per call
+    fresh = [_run_main(argv, capsys) for argv in sequence]
+    assert cached == fresh
+    assert cached[2][0] == 2 and "--to" in cached[2][2]

@@ -243,3 +243,40 @@ def test_generic_rejects_bad_seeds():
 def test_single_seed_dies_immediately():
     spec = sq.GenericMetaFibSpec(0, 1, (1,))
     assert sq.generic_metafib(spec, 1) is sq.DEAD
+
+
+def test_values_and_d_values_match_per_value():
+    for s in range(7):
+        t = sq.SequenceTable(s)
+        for lo, hi in [(0, 0), (0, 50), (1, 1), (1, 2), (2, 2), (31, 33), (100, 300),
+                       (200, 199)]:
+            assert t.values(lo, hi) == [sq.a(s, n) for n in range(lo, hi + 1)]
+            if lo >= 1:
+                assert t.d_values(lo, hi) == [sq.d(s, n) for n in range(lo, hi + 1)]
+        assert t.d_values(1, 1) == [1]  # d(1) = 1, though a(1) - a(0) = 0
+        assert t.prefix(70) == t.values(0, 70)
+
+
+def test_values_reject_negative_start():
+    t = sq.SequenceTable(1)
+    with pytest.raises(ValueError):
+        t.values(-1, 5)
+    with pytest.raises(ValueError):
+        t.d_values(0, 5)
+
+
+def test_values_copy_is_safe_to_mutate():
+    t = sq.SequenceTable(2)
+    window = t.values(3, 9)
+    window[0] = -1
+    assert t.values(3, 9)[0] == sq.a(2, 3)
+
+
+def test_values_on_a_dead_generic_table_behave_like_prefix():
+    for spec in (sq.GenericMetaFibSpec(1, 2, (1, 1)), sq.GenericMetaFibSpec(0, 1, (1,))):
+        t = sq.SequenceTable._generic(spec)
+        for hi in (0, 1, 2, 7, 40):
+            assert t.values(0, hi) == t.prefix(hi)
+            for lo in (0, 1, 2, 5):
+                assert t.values(lo, hi) == t.prefix(hi)[lo:]
+        assert t.values(0, 40) == list(spec.initial_values)  # it went DEAD

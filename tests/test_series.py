@@ -48,6 +48,53 @@ def test_order_is_min_of_inputs():
     assert (a * b).order == 2
 
 
+def _slice_zip(op, x, y):
+    """The reference definition: truncate both to the lower order, then zip."""
+    n = min(x.order, y.order)
+    return [op(u, v) for u, v in zip(x.coeffs[: n + 1], y.coeffs[: n + 1])]
+
+
+def _padded_shift(x, k):
+    n = x.order
+    return ([0] * k + list(x.coeffs))[: n + 1]
+
+
+def test_arithmetic_keeps_exactly_order_plus_one_coefficients():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        x = TruncatedSeries([rng.randrange(-9, 10) for _ in range(rng.randrange(1, 14))],
+                            rng.randrange(0, 12))
+        y = TruncatedSeries([rng.randrange(-9, 10) for _ in range(rng.randrange(1, 14))],
+                            rng.randrange(0, 12))
+        for got, want in ((x + y, _slice_zip(int.__add__, x, y)),
+                          (x - y, _slice_zip(int.__sub__, x, y))):
+            assert got.order == min(x.order, y.order)
+            assert list(got.coeffs) == want
+            assert len(got._c) == got.order + 1
+        for k in (0, 1, x.order, x.order + 1, x.order + 7):
+            shifted = x.shift_by_power(k)
+            assert shifted.order == x.order
+            assert list(shifted.coeffs) == _padded_shift(x, k)
+            assert len(shifted._c) == x.order + 1
+        for derived in (x * y, x.scale(3), x.prefix_sums()):
+            assert len(derived._c) == derived.order + 1
+
+
+def test_results_do_not_share_coefficients_with_operands():
+    x = TruncatedSeries([1, 2, 3], 2)
+    for derived in (x.shift_by_power(0), x + TruncatedSeries.zero(5), x.scale(1)):
+        derived._c[0] = 99
+        assert x.coeffs == (1, 2, 3)
+
+
+def test_constructor_pads_and_truncates():
+    assert TruncatedSeries([1, 2], 4).coeffs == (1, 2, 0, 0, 0)
+    assert TruncatedSeries((1, 2, 3, 4), 1).coeffs == (1, 2)
+    source = [5, 6, 7]
+    TruncatedSeries(source, 1)
+    assert source == [5, 6, 7]
+
+
 def test_geom_inverse():
     assert geom_inverse(1, 3).coeffs == (1, 1, 1, 1)
     assert geom_inverse(4, 9).coeffs == (1, 0, 0, 0, 1, 0, 0, 0, 1, 0)

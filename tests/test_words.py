@@ -124,3 +124,18 @@ def test_ruler_self_similarity():
     shifted = [sq.ruler(n) - 1 for n in range(1, 2**13 + 1)]
     assert shifted[0::2] == [0] * len(shifted[0::2])
     assert shifted[1::2] == [sq.ruler(n) for n in range(1, 2**12 + 1)]
+
+
+def _morphism_by_characters(length):
+    """Reference: apply 0 -> 0, 1 -> 110 one character at a time."""
+    w = "1"
+    while len(w) < length:
+        w = "".join("110" if c == "1" else "0" for c in w)
+    return w[:length]
+
+
+def test_morphism_matches_the_per_character_rule():
+    for length in range(1, 301):
+        assert words.morphism_fixed_point(length) == _morphism_by_characters(length)
+    for k in range(21):
+        assert words.morphism_fixed_point(1 << k) == _morphism_by_characters(1 << k)
