@@ -88,6 +88,7 @@ def _format_code(code):
 def _cmd_codes(args, out):
     sub = args.codes_cmd
     if sub == "greedy":
+        _guard_dump(args.n)
         out.write(_format_code(codes.greedy_tree(args.n, args.height)) + "\n")
     elif sub == "enumerate":
         for code in codes.enumerate_codes(args.n, args.height):

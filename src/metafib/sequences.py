@@ -11,9 +11,12 @@ preorder labels.  Three sequences describe it:
 ``a`` satisfies a nested recurrence (its own values feed back into its
 indices).  One engine, ``SequenceTable``, grows every instance of that
 recurrence family (``GenericMetaFibSpec``), the shift-s forests included;
-``d`` is a difference of ``a`` and ``p`` has a closed form.  Everything else
-in this module is a faster or structurally different route to the same
-numbers so that they can be cross-checked.
+``d`` is a difference of ``a`` and ``p`` has a closed form.  The public
+``a`` and ``d`` read the shared tables only through index ``_MEMO_TOP``
+and answer from the closed forms above it, so no point query grows a
+table past that bound; ``SequenceTable`` itself is uncapped and stays the
+oracle.  Everything else in this module is a faster or structurally
+different route to the same numbers so that they can be cross-checked.
 """
 
 from __future__ import annotations
@@ -21,6 +24,13 @@ from __future__ import annotations
 import operator
 import threading
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate, count, takewhile
+
+# Largest index the public a/d and the descent memo keep in memory: above
+# verify full's largest evaluator index (100000), so verify's sweeps are
+# served by the tables exactly as before.
+_MEMO_TOP = 1 << 17
 
 
 def ruler(n: int) -> int:
@@ -186,11 +196,52 @@ def table(s: int) -> SequenceTable:
 
 
 def a(s: int, n: int) -> int:
-    return table(s).a(n)
+    """a(s, n): from the shared table through _MEMO_TOP, in closed form above."""
+    if n <= _MEMO_TOP:
+        return table(s).a(n)
+    return as_via_a0(s, n)
 
 
 def d(s: int, n: int) -> int:
-    return table(s).d(n)
+    """d(s, n): from the shared table through _MEMO_TOP; above it, label n
+    is a leaf exactly when it is the label of the a(s, n)-th leaf."""
+    if n <= _MEMO_TOP:
+        return table(s).d(n)
+    return 1 if p(s, as_via_a0(s, n)) == n else 0
+
+
+def a_window(s: int, lo: int, hi: int) -> list:
+    """Values a(s, lo..hi), lo >= 1: one table slice at or below _MEMO_TOP,
+    else a leaf-label walk in O(log hi + width)."""
+    if lo < 1:
+        raise ValueError("a window needs lo >= 1")
+    if hi <= _MEMO_TOP:
+        return table(s).values(lo, hi)
+    before, flags = _leaf_walk(s, lo, hi)
+    return list(accumulate(flags, initial=before))[1:]
+
+
+def d_window(s: int, lo: int, hi: int) -> list:
+    """Values d(s, lo..hi), lo >= 1: one table slice at or below _MEMO_TOP,
+    else a leaf-label walk in O(log hi + width)."""
+    if hi <= _MEMO_TOP:
+        return table(s).d_values(lo, hi)
+    return _leaf_walk(s, lo, hi)[1]
+
+
+def _leaf_walk(s: int, lo: int, hi: int):
+    """(a(s, lo - 1) as a leaf count, leaf flags of labels lo..hi).
+
+    The leaves after the first ``before`` carry labels p(s, before + 1),
+    p(s, before + 2), ..., all of them >= lo; the walk marks those <= hi.
+    """
+    if s < 0 or lo < 1:
+        raise ValueError("a leaf walk needs s >= 0, lo >= 1")
+    before = as_via_a0(s, lo - 1) if lo > 1 else 0
+    flags = [0] * (hi - lo + 1)
+    for label in takewhile(hi.__ge__, map(partial(p, s), count(before + 1))):
+        flags[label - lo] = 1
+    return before, flags
 
 
 def p(s: int, n: int) -> int:
@@ -273,7 +324,8 @@ def as_descent(s: int, n: int) -> int:
 
     Each step maps the query into the previous block, accumulating the
     leaves skipped over, and bottoms out in the small-n base values.
-    Results are memoized per shift, so ascending sweeps cost O(1) a call.
+    Results for starts up to _MEMO_TOP are memoized per shift, so ascending
+    sweeps cost O(1) a call while huge-n descents leave the memo bounded.
     """
     if s < 0 or n < 1:
         raise ValueError("as_descent needs s >= 0, n >= 1")
@@ -297,7 +349,8 @@ def as_descent(s: int, n: int) -> int:
             # a path node, or the subtree root itself (internal for h >= 2)
             value = total + (1 << (h - 1))
             break
-        trail.append((n, total))
+        if n <= _MEMO_TOP:
+            trail.append((n, total))
         if n < root + (1 << (h - 1)):
             total += 1 << (h - 2)
             n -= (1 << (h - 1)) + s

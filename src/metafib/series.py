@@ -192,15 +192,21 @@ def gf_Ds_sum(s: int, order: int) -> TruncatedSeries:
     if s < 0:
         raise ValueError("gf_Ds_sum needs s >= 0")
     out = TruncatedSeries.monomial(1, order)
-    dm = TruncatedSeries.monomial(1, order)  # D_0
+    c = out._c
+    dm = [0, 1]  # coefficients of D_0 = z, up to its degree
     m = 0
     while True:
         offset = (1 << (m + 1)) + (s - 1) * (m + 1)
         if offset > order:
             break
-        out = out + dm.shift_by_power(offset)
-        # D_{m+1}(z) = z * (1 + z**(2**(m+1) - 1)) * D_m(z)
-        dm = _times_one_plus_power(dm, (1 << (m + 1)) - 1).shift_by_power(1)
+        # add the block into its own window only
+        end = min(offset + len(dm), order + 1)
+        c[offset:end] = map(operator.add, c[offset:end], dm)
+        # D_{m+1}(z) = z * (1 + z**(2**(m+1) - 1)) * D_m(z), cut at the order
+        t = (1 << (m + 1)) - 1
+        nxt = [0, *dm] + [0] * t
+        nxt[t + 1 :] = map(operator.add, nxt[t + 1 :], dm)
+        dm = nxt[: order + 1]
         m += 1
     return out
 

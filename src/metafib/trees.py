@@ -80,10 +80,31 @@ def is_leaf_oracle(s: int, n: int) -> int:
 
 
 def leaves_in_prefix(s: int, n: int) -> int:
-    """Leaves among labels 1..n: the last entry of leaf_count_scan."""
-    if n < 1:
-        raise ValueError("leaves_in_prefix needs n >= 1")
-    return leaf_count_scan(s, n)[n]
+    """Leaves among labels 1..n, counted structurally in O(log n).
+
+    The one-node tree, then per block h its s path labels and, while the
+    block fits, its 2**(h-1) leaves; the block that n cuts off contributes
+    the leaves among the first labels of one complete subtree.
+    """
+    if s < 0 or n < 1:
+        raise ValueError("leaves_in_prefix needs s >= 0, n >= 1")
+    leaves, rest, h = 1, n - 1, 1
+    while rest > s + (1 << h) - 1:
+        leaves += 1 << (h - 1)
+        rest -= s + (1 << h) - 1
+        h += 1
+    rest -= s  # labels taken inside subtree h; negative while on the path
+    while rest > 0:
+        # subtree of height h: root, then left and right halves of 2**(h-1) - 1
+        if h == 1:
+            return leaves + 1
+        half = (1 << (h - 1)) - 1
+        rest -= 1
+        if rest > half:
+            leaves += 1 << (h - 2)
+            rest -= half
+        h -= 1
+    return leaves
 
 
 def leaf_count_scan(s: int, n_max: int) -> list:

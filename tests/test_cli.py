@@ -187,6 +187,27 @@ def test_seq_p_at_huge_n():
         assert sq.as_via_a0(3, pos) == n and sq.as_via_a0(3, pos - 1) == n - 1
 
 
+def _cap_child_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_codes_greedy_output_guard_exits_2():
+    # without the guard this dies of MemoryError under a 1 GiB cap
+    result = subprocess.run(
+        [sys.executable, "-m", "metafib", "codes", "greedy", "--n", str(10**9),
+         "--height", "40"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=_cap_child_memory,
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert f"at most {cli.DUMP_GUARD} values" in result.stderr
+
+
 def test_word_runs_guard_exits_2(capsys):
     code, out, err = run_cli(capsys, "word", "runs", "--terms", str(10**8))
     assert code == 2

@@ -1,3 +1,7 @@
+import ast
+import inspect
+import random
+
 import pytest
 
 from metafib import sequences as sq
@@ -123,3 +127,30 @@ def test_render_cap_and_width():
     trees.render(0, 128, cap=200)
     narrow = trees.render(2, 9, max_width=5)
     assert all(len(line) <= 5 for line in narrow.splitlines())
+
+
+def test_leaves_in_prefix_matches_the_scan():
+    for s in range(7):
+        scan = trees.leaf_count_scan(s, 5000)
+        assert [trees.leaves_in_prefix(s, n) for n in range(1, 5001)] == scan[1:]
+
+
+def test_leaves_in_prefix_at_huge_n():
+    rng = random.Random(17)
+    for _ in range(2000):
+        s, n = rng.randrange(7), rng.randint(1, 10**18)
+        assert trees.leaves_in_prefix(s, n) == sq.as_descent(s, n), (s, n)
+    with pytest.raises(ValueError):
+        trees.leaves_in_prefix(-1, 5)
+
+
+def test_trees_stays_independent_of_sequences():
+    tree = ast.parse(inspect.getsource(trees))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not any("sequences" in name for name in imported)
