@@ -9,12 +9,10 @@ from .sequences import (
     SequenceTable,
     a,
     a0_fast,
-    a_window,
     a1_fast,
     as_descent,
     as_via_a0,
     d,
-    d_window,
     generic_metafib,
     is_power_of_two,
     p,

