@@ -61,22 +61,8 @@ def _cmd_gf(args, out):
         gf = series.gf_Ds_sum(args.s, args.order)
     elif which == "P":
         gf = series.gf_Ps(args.s, args.order)
-    else:  # A
-        if args.method == "product":
-            if args.s == 0:
-                raise ValueError("the product form needs s >= 1")
-            gf = series.gf_As(args.s, args.order)
-        elif args.method == "quotient":
-            gf = series.gf_A_from_D(args.s, args.order)
-        else:  # auto
-            if args.s == 0:
-                print(
-                    "note: product form needs s >= 1; using the quotient form",
-                    file=sys.stderr,
-                )
-                gf = series.gf_A_from_D(args.s, args.order)
-            else:
-                gf = series.gf_As(args.s, args.order)
+    else:  # A: the quotient form serves every s; verify checks it against gf_As
+        gf = series.gf_A_from_D(args.s, args.order)
     _emit_table(enumerate(gf.coeffs), args.format, out)
     return 0
 
@@ -160,7 +146,7 @@ def _cmd_oeis(args, out):
             args.seq, args.s, args.index_delta, args.value_delta,
             min_index - args.index_delta,
         )
-    compared, mismatch = oeis.check_bfile(args.bfile, role)
+    compared, mismatch = oeis.compare_records(oeis.read_bfile(args.bfile), role)
     if mismatch is not None:
         n, file_value, mine = mismatch
         out.write(f"MISMATCH at n={n}: file has {file_value}, computed {mine}\n")
@@ -193,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=["ruler", "D", "A", "P"])
     p.add_argument("--s", type=int, default=0)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--method", choices=["auto", "product", "quotient"],
-                   default="auto")
     p.add_argument("--format", **fmt)
     p.set_defaults(run=_cmd_gf)
 
@@ -271,13 +255,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.run(args, sys.stdout)
-    except oeis.BFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # oeis.BFileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -86,7 +86,7 @@ def local_value(role: SequenceRole, n: int) -> int:
     return base + role.value_delta
 
 
-def compare_records(records, role: SequenceRole, limit: int | None = None):
+def compare_records(records, role: SequenceRole):
     """Compare b-file records against the local sequence under a role.
 
     Returns (compared, mismatch) where mismatch is None or a tuple
@@ -96,14 +96,8 @@ def compare_records(records, role: SequenceRole, limit: int | None = None):
     for n, value in records:
         if n < role.min_index:
             continue
-        if limit is not None and compared >= limit:
-            break
         mine = local_value(role, n)
         if mine != value:
             return compared, (n, value, mine)
         compared += 1
     return compared, None
-
-
-def check_bfile(path, role: SequenceRole, limit: int | None = None):
-    return compare_records(read_bfile(path), role, limit)

@@ -150,18 +150,11 @@ class SequenceTable:
         self.extend_to(n)
         return self._a[n] if n < len(self._a) else DEAD
 
-    def d(self, n: int) -> int:
-        if n < 1:
-            raise ValueError("d(s, n) needs n >= 1")
-        if n == 1:
-            return 1
-        return self.a(n) - self.a(n - 1)
-
     def values(self, lo: int, hi: int) -> list:
         """Values a(lo..hi) as a list (a copy; safe to mutate); one growth.
 
         A generic table that went DEAD returns only its values below the
-        escape index, as ``prefix`` does.
+        escape index.
         """
         if lo < 0:
             raise ValueError("a(s, n) needs n >= 0")
@@ -177,10 +170,6 @@ class SequenceTable:
         if lo == 1 and out:
             out[0] = 1  # label 1 is a leaf; a(0) = a(1) = 1 by the base values
         return out
-
-    def prefix(self, n: int) -> list:
-        """Values a(0..n) as a list (a copy; safe to mutate)."""
-        return self.values(0, n)
 
 
 # One table per shift s (key: the int) and per generic spec (key: the spec).
@@ -212,7 +201,7 @@ def d(s: int, n: int) -> int:
     """d(s, n): from the shared table through _MEMO_TOP; above it, label n
     is a leaf exactly when it is the label of the a(s, n)-th leaf."""
     if n <= _MEMO_TOP:
-        return table(s).d(n)
+        return table(s).d_values(n, n)[0]
     return 1 if p(s, as_via_a0(s, n)) == n else 0
 
 

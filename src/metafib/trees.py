@@ -13,6 +13,7 @@ from itertools import accumulate
 
 SUBTREE_NODE = "subtree-node"
 SUPER_NODE = "super-node"
+RENDER_CAP = 127  # most labels render draws
 
 
 @dataclass(frozen=True)
@@ -139,15 +140,15 @@ def _draw_subtree(lines, prefix, child_prefix, label, height, n_cap):
                       right, height - 1, n_cap)
 
 
-def render(s: int, n: int, max_width: int = 100, cap: int = 127) -> str:
+def render(s: int, n: int, max_width: int = 100) -> str:
     """ASCII sketch of the first n labels: path nodes marked, leaves tagged.
 
     Cosmetic only; nothing should depend on the exact glyphs.
     """
     if max_width < 1:
         raise ValueError("max_width must be >= 1")
-    if n > cap:
-        raise ValueError(f"render is capped at {cap} nodes")
+    if n > RENDER_CAP:
+        raise ValueError(f"render is capped at {RENDER_CAP} nodes (trees.RENDER_CAP)")
     if n < 1:
         raise ValueError("render needs n >= 1")
     lines = [f"first {n} labels of the shift-{s} forest"]

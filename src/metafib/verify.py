@@ -61,7 +61,7 @@ def _bounds(depth: str) -> dict:
 
 def _check_steps(b):
     for s in range(b["shift_max"] + 1):
-        vals = sequences.table(s).prefix(b["n_seq"])
+        vals = sequences.table(s).values(0, b["n_seq"])
         steps = [y - x for x, y in zip(vals[1:], vals[2:])]
         _agree([step in (0, 1) for step in steps], [True] * len(steps),
                lambda i: f"a({s},{i+2}) - a({s},{i+1}) = {steps[i]}")
@@ -76,23 +76,23 @@ def _check_evaluators(b):
                lambda i: f"as_via_a0({s},{i+1})")
         _agree([sequences.as_descent(s, n) for n in labels], vals,
                lambda i: f"as_descent({s},{i+1})")
-    _agree(map(sequences.a0_fast, range(top + 1)), sequences.table(0).prefix(top),
+    _agree(map(sequences.a0_fast, range(top + 1)), sequences.table(0).values(0, top),
            lambda i: f"a0_fast({i})")
     _agree(map(sequences.a1_fast, labels), sequences.table(1).values(1, top),
            lambda i: f"a1_fast({i+1})")
 
 
 def _check_tree_flags(b):
-    labels = range(1, b["n_tree"] + 1)
+    top = b["n_tree"]
     for s in range(b["shift_max"] + 1):
-        t = sequences.table(s)
-        _agree([trees.is_leaf_oracle(s, n) for n in labels], map(t.d, labels),
+        _agree([trees.is_leaf_oracle(s, n) for n in range(1, top + 1)],
+               sequences.table(s).d_values(1, top),
                lambda i: f"leaf flag s={s} n={i+1}")
 
 
 def _check_tree_counts(b):
     for s in range(b["shift_max"] + 1):
-        vals = sequences.table(s).prefix(b["n_tree"])
+        vals = sequences.table(s).values(0, b["n_tree"])
         scan = trees.leaf_count_scan(s, b["n_tree"])
         _agree(scan[1:], vals[1:], lambda i: f"prefix leaf counts s={s} n={i+1}")
 
@@ -116,16 +116,16 @@ def _check_p_differences(b):
 
 
 def _check_ones_count(b):
-    labels = range(1, b["n_seq"] + 1)
+    top = b["n_seq"]
     for s in range(b["shift_max"] + 1):
         t = sequences.table(s)
-        _agree(map(t.a, labels), accumulate(map(t.d, labels)),
+        _agree(t.values(1, top), accumulate(t.d_values(1, top)),
                lambda i: f"ones count s={s} n={i+1}")
 
 
 def _check_doubling(b):
     # k = 0 is excluded: with a(0,0) = 1 the identity holds only for k >= 1
-    vals = sequences.table(0).prefix((2 << b["double_h"]) - 2)
+    vals = sequences.table(0).values(0, (2 << b["double_h"]) - 2)
     for h in range(1, b["double_h"] + 1):
         block = 1 << h
         _agree(vals[block : 2 * block - 1], [(block >> 1) + v for v in vals[1:block]],
@@ -134,9 +134,8 @@ def _check_doubling(b):
 
 def _check_word_stream(b):
     for s in range(min(b["shift_max"], 4) + 1):
-        t = sequences.table(s)
         w = words.dword_prefix(s, b["word_bits"])
-        _agree(map(int, w), map(t.d, range(1, b["word_bits"] + 1)),
+        _agree(map(int, w), sequences.table(s).d_values(1, b["word_bits"]),
                lambda i: f"stream bit s={s} n={i+1}")
         ones = [i + 1 for i, c in enumerate(w) if c == "1"]
         _agree([sequences.p(s, rank) for rank in range(1, len(ones) + 1)], ones,
@@ -183,9 +182,8 @@ def _check_d_gf(b):
     order = b["order"]
     orders = range(1, order + 1)
     for s in range(min(b["shift_max"], 4) + 1):
-        t = sequences.table(s)
         ds = series.gf_Ds_sum(s, order)
-        _agree(map(ds.coefficient, orders), map(t.d, orders),
+        _agree(map(ds.coefficient, orders), sequences.table(s).d_values(1, order),
                lambda i: f"d gf s={s} n={i+1}")
         nested = series.gf_Ds_nested(s, b["order_nested"], b["nested_depth"])
         _need(
@@ -198,9 +196,8 @@ def _check_a_gf(b):
     order = b["order"]
     orders = range(1, order + 1)
     for s in range(min(b["shift_max"], 4) + 1):
-        t = sequences.table(s)
         quo = series.gf_A_from_D(s, order)
-        _agree(map(quo.coefficient, orders), map(t.a, orders),
+        _agree(map(quo.coefficient, orders), sequences.table(s).values(1, order),
                lambda i: f"a gf s={s} n={i+1}")
         if s >= 1:
             _need(series.gf_As(s, order) == quo, f"product form s={s}")
@@ -220,7 +217,7 @@ def _check_composition_counts(b):
     top = b["comp_n"]
     for s in range(1, 5):
         counted = compositions.counts_up_to(s, top)
-        vals = sequences.table(s).prefix(top)
+        vals = sequences.table(s).values(0, top)
         _agree(counted[1:], vals[1:], lambda i: f"composition counts s={s} n={i+1}")
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from metafib import cli
 from metafib import sequences as sq
+from metafib import series
 from metafib.cli import main
 
 from _rows import ROWS_A, ROWS_D
@@ -84,17 +85,25 @@ def test_gf_p_constant(capsys):
 def test_gf_a_with_s0_falls_back(capsys):
     code, out, err = run_cli(capsys, "gf", "A", "--s", "0", "--order", "10")
     assert code == 0
-    assert "quotient" in err
+    assert err == ""
     values = [int(line.split()[1]) for line in out.splitlines()]
     assert values == [0] + ROWS_A[0][:10]
 
 
-def test_gf_a_product_form_rejects_s0(capsys):
-    code, _, err = run_cli(
-        capsys, "gf", "A", "--s", "0", "--order", "10", "--method", "product"
-    )
-    assert code == 2
-    assert "s >= 1" in err
+def test_gf_a_serves_the_quotient_form_for_every_shift(capsys):
+    for s in range(7):
+        for order in (0, 1, 17, 4096):
+            quo = series.gf_A_from_D(s, order)
+            if s >= 1:
+                assert series.gf_As(s, order) == quo, (s, order)
+            for fmt, sep in (("plain", " "), ("tsv", "\t"), ("bfile", " ")):
+                code, out, err = run_cli(capsys, "gf", "A", "--s", str(s),
+                                         "--order", str(order), "--format", fmt)
+                assert (code, err) == (0, ""), (s, order, fmt)
+                assert out == "".join(f"{n}{sep}{c}\n" for n, c in enumerate(quo.coeffs))
+    code, _, err = _run_main(["gf", "A", "--s", "1", "--order", "10",
+                              "--method", "product"], capsys)
+    assert code == 2 and "--method" in err
 
 
 def test_gf_order_guard(capsys):

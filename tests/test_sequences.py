@@ -34,6 +34,8 @@ def test_d_examples():
     assert sq.d(1, 3) == 1
     assert sq.d(2, 13) == 0
     assert sq.d(0, 1) == 1
+    with pytest.raises(ValueError):
+        sq.d(1, 0)
 
 
 def test_p_examples():
@@ -94,19 +96,19 @@ def test_as_descent_examples():
 
 def test_step_invariant_and_monotone():
     for s in range(5):
-        vals = sq.table(s).prefix(4000)
+        vals = sq.table(s).values(0, 4000)
         assert all(vals[n + 1] - vals[n] in (0, 1) for n in range(1, 4000))
 
 
 def test_evaluators_agree_midrange():
     for s in range(5):
-        vals = sq.table(s).prefix(4000)
+        vals = sq.table(s).values(0, 4000)
         for n in range(1, 4001):
             assert sq.as_via_a0(s, n) == vals[n]
             assert sq.as_descent(s, n) == vals[n]
-    vals0 = sq.table(0).prefix(4000)
+    vals0 = sq.table(0).values(0, 4000)
     assert all(sq.a0_fast(n) == vals0[n] for n in range(4001))
-    vals1 = sq.table(1).prefix(4000)
+    vals1 = sq.table(1).values(0, 4000)
     assert all(sq.a1_fast(n) == vals1[n] for n in range(1, 4001))
 
 
@@ -165,9 +167,9 @@ def test_doubling_identity_for_positive_k():
 
 def test_table_is_append_only():
     t = sq.SequenceTable(2)
-    first = t.prefix(50)
+    first = t.values(0, 50)
     t.extend_to(500)
-    assert t.prefix(50) == first
+    assert t.values(0, 50) == first
 
 
 def test_shift_must_be_nonnegative():
@@ -205,7 +207,7 @@ def test_shared_table_is_thread_safe():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not failures
-    assert shared.prefix(6000) == sq.table(3).prefix(6000)
+    assert shared.values(0, 6000) == sq.table(3).values(0, 6000)
 
 
 def test_generic_matches_shift_family():
@@ -252,9 +254,9 @@ def test_values_and_d_values_match_per_value():
                        (200, 199)]:
             assert t.values(lo, hi) == [sq.a(s, n) for n in range(lo, hi + 1)]
             if lo >= 1:
-                assert t.d_values(lo, hi) == [sq.d(s, n) for n in range(lo, hi + 1)]
+                assert t.d_values(lo, hi) == [trees.is_leaf_oracle(s, n)
+                                              for n in range(lo, hi + 1)]
         assert t.d_values(1, 1) == [1]  # d(1) = 1, though a(1) - a(0) = 0
-        assert t.prefix(70) == t.values(0, 70)
 
 
 def test_values_reject_negative_start():
@@ -272,13 +274,13 @@ def test_values_copy_is_safe_to_mutate():
     assert t.values(3, 9)[0] == sq.a(2, 3)
 
 
-def test_values_on_a_dead_generic_table_behave_like_prefix():
+def test_values_on_a_dead_generic_table_stop_at_the_escape():
     for spec in (sq.GenericMetaFibSpec(1, 2, (1, 1)), sq.GenericMetaFibSpec(0, 1, (1,))):
         t = sq.SequenceTable._generic(spec)
         for hi in (0, 1, 2, 7, 40):
-            assert t.values(0, hi) == t.prefix(hi)
             for lo in (0, 1, 2, 5):
-                assert t.values(lo, hi) == t.prefix(hi)[lo:]
+                alive = [v for v in map(t.a, range(lo, hi + 1)) if v is not sq.DEAD]
+                assert t.values(lo, hi) == alive
         assert t.values(0, 40) == list(spec.initial_values)  # it went DEAD
 
 

@@ -209,7 +209,7 @@ def test_gf_midrange_against_sequences():
         aa = gf_A_from_D(s, order)
         pp = gf_Ps(s, order)
         for n in range(1, order + 1):
-            assert ds.coefficient(n) == t.d(n)
+            assert ds.coefficient(n) == sq.d(s, n)
             assert aa.coefficient(n) == t.a(n)
             assert pp.coefficient(n) == sq.p(s, n)
         if s >= 1:

@@ -57,10 +57,11 @@ def test_label_ranges_partition():
 def test_oracle_matches_sequences_midrange():
     for s in range(5):
         t = sq.table(s)
+        flags = t.d_values(1, 4000)
         running = 0
         for n in range(1, 4001):
             flag = trees.is_leaf_oracle(s, n)
-            assert flag == t.d(n)
+            assert flag == flags[n - 1]
             running += flag
             if flag:
                 assert sq.p(s, running) == n
@@ -87,9 +88,9 @@ def test_scan_sweep_matches_locate():
 def test_adjacent_leaves_are_siblings():
     # past the base range, two leaf flags in a row mean a left/right pair
     for s in range(4):
-        t = sq.table(s)
+        flags = [None] + sq.table(s).d_values(1, 5000)
         for n in range(s + 3, 5001):
-            if t.d(n) == 1 and t.d(n - 1) == 1:
+            if flags[n] == 1 and flags[n - 1] == 1:
                 right = trees.locate(s, n)
                 left = trees.locate(s, n - 1)
                 assert left.subtree == right.subtree
@@ -124,7 +125,6 @@ def test_render_smoke():
 def test_render_cap_and_width():
     with pytest.raises(ValueError):
         trees.render(0, 128)
-    trees.render(0, 128, cap=200)
     narrow = trees.render(2, 9, max_width=5)
     assert all(len(line) <= 5 for line in narrow.splitlines())
 

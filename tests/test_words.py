@@ -99,9 +99,8 @@ def test_stream_matches_leaf_oracle():
 
 def test_stream_matches_d_sequence():
     for s in range(5):
-        t = sq.table(s)
         w = words.dword_prefix(s, 5000)
-        assert all(int(w[n - 1]) == t.d(n) for n in range(1, 5001))
+        assert list(map(int, w)) == sq.table(s).d_values(1, 5000)
 
 
 def test_factorization_rebuilds_stream():
