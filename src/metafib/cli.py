@@ -128,7 +128,8 @@ def _cmd_tree(args, out):
 
 
 def _cmd_verify(args, out):
-    ok = verify.run_all(args.depth, stream=out)
+    ok = verify.run_all(args.depth, stream=out,
+                        timings=sys.stderr if args.timings else None)
     return 0 if ok else 1
 
 
@@ -231,6 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run every cross-module identity")
     p.add_argument("--depth", choices=["quick", "full"], default="quick")
+    p.add_argument("--timings", action="store_true",
+                   help="also write 'name<TAB>seconds' per identity to stderr")
     p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("oeis", help="compare a b-file against local values")

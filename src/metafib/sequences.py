@@ -38,6 +38,11 @@ _MEMO_TOP = 1 << 13
 # third fewer entries than 2^17.
 _DESCENT_MEMO_TOP = 1 << 16
 
+# Largest index generic_metafib evaluates.  A generic instance has no closed
+# form, so an index means a table grown that far: at the cap, about 1.8 s and
+# 175 MB peak RSS (2-core host, Python 3.11.7), the index bound of a dump.
+GENERIC_GUARD = 1 << 22
+
 
 def ruler(n: int) -> int:
     """One plus the exponent of the largest power of 2 dividing n."""
@@ -224,20 +229,54 @@ def p(s: int, n: int) -> int:
 def a0_fast(n: int) -> int:
     """Shift-0 values in O(log n) by peeling doubling blocks.
 
-    Repeatedly writes n = 2**h - 1 + k with 0 <= k < 2**h and collects
-    2**(h-1).  The terminal k = 0 contributes nothing; only the top-level
-    call maps 0 to the base value 1.
+    Each peel writes n = 2**h - 1 + k with 0 <= k < 2**h, collects 2**(h-1)
+    and goes on with k; in terms of x = n + 1 it maps x to
+    x - top_bit(x) + 1.  The peels stop at x <= 2, which adds x - 1: the
+    terminal k = 0 contributes nothing, and only the top-level call maps
+    n = 0 to the base value 1.  Below x = 256 the remaining peels are read
+    from a table built by the same peel.
+
+    Band invariant: split x = high + low with low = x & 255.  While high is
+    nonzero each peel takes the top bit of high and adds 1 to low.  When
+    low + popcount(high) <= 256, the j-th of those peels starts from
+    low + j - 1 <= 255, so no +1 carries into high before high is used up
+    (only the last one may reach bit 8); all popcount(high) peels together
+    collect high // 2 and leave x = low + popcount(high).  The bound is
+    tight: at 257 the carry can land on bit 8 of high.  Otherwise one
+    ordinary peel is taken and the test repeats.
     """
     if n < 0:
         raise ValueError("a0_fast(n) needs n >= 0")
-    if n == 0:
-        return 1
+    return _a0_peel(n + 1) if n else 1
+
+
+def _a0_peel(x: int) -> int:
+    """The peels of a0_fast for x = n + 1 >= 1 (x = 1 gives the terminal 0)."""
     total = 0
-    while n > 1:
-        h = (n + 1).bit_length() - 1  # 2**h <= n+1 < 2**(h+1)
-        total += 1 << (h - 1)
-        n -= (1 << h) - 1
-    return total + n
+    while x > 255:
+        low = x & 255
+        ones = (x >> 8).bit_count()
+        if low + ones <= 256:
+            total += (x - low) >> 1
+            x = low + ones
+        else:
+            top = 1 << (x.bit_length() - 1)
+            total += top >> 1
+            x += 1 - top
+    return total + _A0_PEELS[x]
+
+
+def _small_peels() -> tuple:
+    """_a0_peel(x) for 0 < x < 256 (entry 0 unused), one ordinary peel at a
+    time: x > 2 peels to x - top_bit(x) + 1 < x, collecting top_bit(x) // 2."""
+    out = [0, 0, 1]
+    for x in range(3, 256):
+        top = 1 << (x.bit_length() - 1)
+        out.append((top >> 1) + out[x + 1 - top])
+    return tuple(out)
+
+
+_A0_PEELS = _small_peels()
 
 
 def a1_fast(n: int) -> int:
@@ -248,15 +287,20 @@ def a1_fast(n: int) -> int:
 
 
 def _block(s: int, n: int) -> int:
-    """Index h >= 1 of the block (path nodes + subtree h) containing label n.
+    """Index h >= 1 of the block (path nodes + subtree h) holding label n >= 2.
 
     Block h covers labels 2**h + (s-1)h - s + 1 .. 2**(h+1) + (s-1)h - 1;
-    consecutive blocks tile everything from label 2 on.
+    consecutive blocks tile everything from label 2 on.  The guess
+    h = bitlen(n) - 1 errs one way only: for s >= 1 its block ends at or
+    after 2**(h+1) - 1 >= n, so h can only be too large; for s = 0 its
+    block starts at or before 2**h <= n, so h can only be too small, and
+    by one at most.
     """
-    h = max(1, n.bit_length() - 1)
-    while (1 << h) + (s - 1) * h - s + 1 > n:
-        h -= 1
-    while (1 << (h + 1)) + (s - 1) * h - 1 < n:
+    h = n.bit_length() - 1
+    if s:
+        while (1 << h) + (s - 1) * h - s + 1 > n:
+            h -= 1
+    elif (1 << (h + 1)) - h - 1 < n:
         h += 1
     return h
 
@@ -274,7 +318,7 @@ def as_via_a0(s: int, n: int) -> int:
     h = _block(s, n)
     if n <= (1 << h) + (s - 1) * h:
         return 1 << (h - 1)
-    return a0_fast(n - s * h)
+    return _a0_peel(n - s * h + 1)  # a0_fast(n - s*h); that argument is >= 1
 
 
 _descent_memo: dict = {}
@@ -283,42 +327,54 @@ _descent_memo: dict = {}
 def as_descent(s: int, n: int) -> int:
     """a(s, n) by descending into the left or right half of the subtree.
 
-    Each step maps the query into the previous block, accumulating the
-    leaves skipped over, and bottoms out in the small-n base values.
-    Results for starts up to _DESCENT_MEMO_TOP are memoized per shift, so
-    ascending sweeps cost O(1) a call while huge-n descents leave the memo
-    bounded.
+    Each step maps the query to the same place in subtree h - 1 (both
+    halves of subtree h start where subtree h - 1 starts), accumulating
+    the leaves skipped over, and bottoms out in the small-n base values or
+    at a subtree root.  Results for starts up to _DESCENT_MEMO_TOP are
+    memoized per shift, so ascending sweeps cost O(1) a call while huge-n
+    descents leave the memo bounded; it is read once before the descent
+    and once after each step, and only at or below that bound.
     """
     if s < 0 or n < 1:
         raise ValueError("as_descent needs s >= 0, n >= 1")
     memo = _descent_memo.setdefault(s, {})
+    top = _DESCENT_MEMO_TOP
+    if n <= top:
+        known = memo.get(n)
+        if known is not None:
+            return known
+    if n <= s + 2:
+        return 1 if n <= s + 1 else 2
+    h = _block(s, n)
+    root = (1 << h) + (s - 1) * h + 1
+    if n <= root:
+        # a path node, or the subtree root itself (internal for h >= 2)
+        return 1 << (h - 1)
     total = 0
     trail = []
     while True:
-        known = memo.get(n)
-        if known is not None:
-            value = total + known
-            break
-        if n <= s + 1:
-            value = total + 1
-            break
-        if n == s + 2:
-            value = total + 2
-            break
-        h = _block(s, n)
-        root = (1 << h) + (s - 1) * h + 1
-        if n <= root:
-            # a path node, or the subtree root itself (internal for h >= 2)
-            value = total + (1 << (h - 1))
-            break
-        if n <= _DESCENT_MEMO_TOP:
+        if n <= top:
             trail.append((n, total))
-        if n < root + (1 << (h - 1)):
-            total += 1 << (h - 2)
-            n -= (1 << (h - 1)) + s
+        half = 1 << (h - 1)
+        if n < root + half:
+            total += half >> 1
+            n -= half + s
         else:
-            total += 1 << (h - 1)
-            n -= (1 << h) + s - 1
+            total += half
+            n -= (half << 1) + s - 1
+        h -= 1
+        if n <= top:
+            known = memo.get(n)
+            if known is not None:
+                break
+        if h == 1:  # subtree 1 is the single leaf s + 2
+            known = 2
+            break
+        root -= half + s - 1
+        if n == root:
+            known = half >> 1
+            break
+    value = total + known
     for start, base in trail:
         memo[start] = value - base
     return value
@@ -330,8 +386,12 @@ def generic_metafib(spec: GenericMetaFibSpec, n: int):
     An out-of-range argument is not an error: the sequence simply stops
     existing from that point on, and DEAD is returned for it and every
     larger index.  Each spec gets one shared ``SequenceTable``, kept beside
-    the shift tables of ``table``.
+    the shift tables of ``table``.  There is no closed form to fall back
+    on, so n is capped at GENERIC_GUARD.
     """
     if n < 0:
         raise ValueError("generic_metafib needs n >= 0")
+    if n > GENERIC_GUARD:
+        raise ValueError(f"generic guard: n <= {GENERIC_GUARD} "
+                         f"(sequences.GENERIC_GUARD), asked for {n}")
     return _shared(spec, lambda: SequenceTable._generic(spec)).a(n)

@@ -16,7 +16,7 @@ SUPER_NODE = "super-node"
 RENDER_CAP = 127  # most labels render draws
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeLocus:
     """Where one preorder label lives.
 
@@ -38,25 +38,43 @@ def _descend(height: int, offset: int):
     """(depth, is_leaf, parent_offset) for a preorder offset in a complete tree.
 
     The tree has 2**height - 1 nodes; offset 1 is the root, followed by the
-    left then the right subtree, each of size 2**(height-1) - 1.
+    left then the right subtree, each of size 2**(height-1) - 1.  Each step
+    goes one level down, so the depth is height - g at the end.
     """
-    depth = 0
     g = height
     root = 1  # absolute offset of current subtree's root
     parent = None
     pos = offset
     while pos != 1:
-        half = (1 << (g - 1)) - 1
         parent = root
-        pos -= 1
+        half = 1 << (g - 1)  # the right subtree starts half labels after the root
+        g -= 1
         if pos <= half:
+            pos -= 1
             root += 1
         else:
             pos -= half
-            root += 1 + half
-        g -= 1
-        depth += 1
-    return depth, g == 1, parent
+            root += half
+    return height - g, g == 1, parent
+
+
+def _subtree_of(s: int, n: int) -> int:
+    """Index h >= 1 of the block that holds label n >= 2.
+
+    Block h is the s path labels before subtree h and the subtree itself;
+    it ends at label 2**(h+1) + (s-1)h - 1, and h is the first index whose
+    block ends at or after n.  Start from h = bitlen(n) - 1: the block
+    ends grow with h, so step down while the previous block still reaches
+    n (only for s >= 2; a second step needs 2**(h-1) < (s-1)h, so there
+    are O(log s) steps), then up while this one falls short (only for
+    s = 0, and at most once).
+    """
+    h = max(1, n.bit_length() - 1)
+    while h > 1 and (1 << h) + (s - 1) * (h - 1) - 1 >= n:
+        h -= 1
+    while (1 << (h + 1)) + (s - 1) * h - 1 < n:
+        h += 1
+    return h
 
 
 def locate(s: int, n: int) -> NodeLocus:
@@ -65,9 +83,7 @@ def locate(s: int, n: int) -> NodeLocus:
         raise ValueError("locate needs s >= 0, n >= 1")
     if n == 1:
         return NodeLocus(n, SUBTREE_NODE, 0, 1, 0, True, None)
-    h = 1
-    while (1 << h) + (s - 1) * h + (1 << h) - 1 < n:
-        h += 1
+    h = _subtree_of(s, n)
     base = (1 << h) + (s - 1) * h
     if n <= base:
         return NodeLocus(n, SUPER_NODE, h, None, None, False, None)
@@ -77,7 +93,15 @@ def locate(s: int, n: int) -> NodeLocus:
 
 
 def is_leaf_oracle(s: int, n: int) -> int:
-    return 1 if locate(s, n).is_leaf else 0
+    """1 if label n is a leaf, else 0: ``locate(s, n).is_leaf`` as an int,
+    from the same block and descent without building the NodeLocus."""
+    if s < 0 or n < 1:
+        raise ValueError("locate needs s >= 0, n >= 1")
+    if n == 1:
+        return 1
+    h = _subtree_of(s, n)
+    offset = n - (1 << h) - (s - 1) * h
+    return 1 if offset > 0 and _descend(h, offset)[1] else 0
 
 
 def leaves_in_prefix(s: int, n: int) -> int:

@@ -9,6 +9,7 @@ whether everything held.  Depth presets: "quick" for a fast smoke pass,
 from __future__ import annotations
 
 import sys
+import time
 from itertools import accumulate
 
 from . import codes, compositions, sequences, series, trees, words
@@ -102,7 +103,8 @@ def _check_first_hits(b):
         t = sequences.table(s)
         hits = range(2, t.a(b["n_seq"]) + 1)
         pos = [sequences.p(s, n) for n in hits]
-        _agree([(t.a(q), t.a(q - 1)) for q in pos], [(n, n - 1) for n in hits],
+        vals = t.values(0, pos[-1])  # p increases, so pos[-1] is the largest
+        _agree([(vals[q], vals[q - 1]) for q in pos], [(n, n - 1) for n in hits],
                lambda i: f"p({s},{i+2})={pos[i]}")
 
 
@@ -366,12 +368,18 @@ IDENTITIES = [
 ]
 
 
-def run_all(depth: str = "quick", stream=None) -> bool:
-    """Run every identity at the given depth; True iff all pass."""
+def run_all(depth: str = "quick", stream=None, timings=None) -> bool:
+    """Run every identity at the given depth; True iff all pass.
+
+    PASS/FAIL lines go to ``stream`` (stdout by default).  When ``timings``
+    is a stream, one ``name<TAB>seconds`` line per identity goes there too,
+    after its PASS/FAIL line.
+    """
     out = stream if stream is not None else sys.stdout
     bounds = _bounds(depth)
     all_ok = True
     for name, check in IDENTITIES:
+        started = time.perf_counter()
         try:
             check(bounds)
         except IdentityFailure as exc:
@@ -382,4 +390,6 @@ def run_all(depth: str = "quick", stream=None) -> bool:
             out.write(f"FAIL  {name}: crashed: {exc!r}\n")
         else:
             out.write(f"PASS  {name}\n")
+        if timings is not None:
+            timings.write(f"{name}\t{time.perf_counter() - started:.6f}\n")
     return all_ok

@@ -1,0 +1,19 @@
+"""Run ``python -m metafib`` in a child process from a plain checkout."""
+
+import os
+import subprocess
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_metafib(*args, **kwargs):
+    """``python -m metafib ARGS`` with ``src`` first on the child's PYTHONPATH.
+
+    Output is captured as text; other keyword arguments go to
+    ``subprocess.run`` unchanged.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "metafib", *args], env=env,
+                          capture_output=True, text=True, **kwargs)

@@ -1,14 +1,12 @@
-import subprocess
-import sys
-
 import pytest
 
 from metafib import cli
 from metafib import sequences as sq
-from metafib import series
+from metafib import series, verify
 from metafib.cli import main
 
 from _rows import ROWS_A, ROWS_D
+from _run import run_metafib
 
 
 def run_cli(capsys, *argv):
@@ -167,13 +165,8 @@ def test_codes_amax_bseq_at_huge_n():
     top = 10**12
     for sub, expect in (("amax", lambda n: sq.as_via_a0(1, n - 1)),
                         ("bseq", sq.a0_fast)):
-        result = subprocess.run(
-            [sys.executable, "-m", "metafib", "codes", sub,
-             "--from", str(top), "--to", str(top + 5)],
-            capture_output=True,
-            text=True,
-            timeout=30,
-        )
+        result = run_metafib("codes", sub, "--from", str(top), "--to", str(top + 5),
+                             timeout=30)
         assert result.returncode == 0
         values = [int(x) for x in result.stdout.split()]
         assert values == [expect(n) for n in range(top, top + 6)]
@@ -181,13 +174,8 @@ def test_codes_amax_bseq_at_huge_n():
 
 def test_seq_p_at_huge_n():
     top = 10**17
-    result = subprocess.run(
-        [sys.executable, "-m", "metafib", "seq", "p", "--s", "3",
-         "--from", str(top), "--to", str(top + 15)],
-        capture_output=True,
-        text=True,
-        timeout=30,
-    )
+    result = run_metafib("seq", "p", "--s", "3", "--from", str(top), "--to", str(top + 15),
+                         timeout=30)
     assert result.returncode == 0
     values = [int(x) for x in result.stdout.split()]
     assert len(values) == 16
@@ -204,14 +192,8 @@ def _cap_child_memory():
 
 def test_codes_greedy_output_guard_exits_2():
     # without the guard this dies of MemoryError under a 1 GiB cap
-    result = subprocess.run(
-        [sys.executable, "-m", "metafib", "codes", "greedy", "--n", str(10**9),
-         "--height", "40"],
-        capture_output=True,
-        text=True,
-        timeout=30,
-        preexec_fn=_cap_child_memory,
-    )
+    result = run_metafib("codes", "greedy", "--n", str(10**9), "--height", "40",
+                         timeout=30, preexec_fn=_cap_child_memory)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert f"at most {cli.DUMP_GUARD} values" in result.stderr
@@ -290,6 +272,18 @@ def test_verify_quick_passes(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
+def test_verify_timings_go_to_stderr_only(capsys):
+    code, plain, err = run_cli(capsys, "verify", "--depth", "quick")
+    assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, "verify", "--depth", "quick", "--timings")
+    assert code == 0
+    assert out == plain
+    rows = [line.split("\t") for line in err.splitlines()]
+    assert len(rows) == 27
+    assert [name for name, _ in rows] == [name for name, _ in verify.IDENTITIES]
+    assert all(float(seconds) >= 0 for _, seconds in rows)
+
+
 def test_verify_names_broken_identity(capsys, monkeypatch):
     real = sq.ruler
     monkeypatch.setattr(sq, "ruler", lambda n: real(n) + 1)
@@ -364,11 +358,7 @@ def test_oeis_unknown_id(capsys, tmp_path):
 
 
 def test_module_entry_point():
-    result = subprocess.run(
-        [sys.executable, "-m", "metafib", "seq", "a", "--s", "0", "--to", "5"],
-        capture_output=True,
-        text=True,
-    )
+    result = run_metafib("seq", "a", "--s", "0", "--to", "5")
     assert result.returncode == 0
     assert result.stdout == "1\n2\n2\n3\n4\n"
 

@@ -22,6 +22,18 @@ def test_part_choices():
         part_choices(0, 0)
 
 
+def test_counts_are_guarded_before_allocating():
+    from metafib.compositions import COUNT_GUARD
+
+    assert len(counts_up_to(3, 5000)) == 5001
+    named = rf"<= {COUNT_GUARD} \(compositions.COUNT_GUARD\)"
+    for limit in (COUNT_GUARD + 1, 10**18):  # 10**18 slots could not be allocated
+        with pytest.raises(ValueError, match=named):
+            counts_up_to(2, limit)
+        with pytest.raises(ValueError, match=named):
+            count_compositions(2, limit)
+
+
 def test_count_examples():
     assert count_compositions(2, 8) == 3
     assert count_compositions(1, 1) == 1

@@ -229,6 +229,16 @@ def test_generic_death():
     assert sq.generic_metafib(spec, 7) is sq.DEAD
 
 
+def test_generic_index_is_guarded(fresh_memos):
+    spec = sq.GenericMetaFibSpec(0, 1, (1, 1))
+    named = rf"<= {sq.GENERIC_GUARD} \(sequences.GENERIC_GUARD\)"
+    for n in (sq.GENERIC_GUARD + 1, 10**18):
+        with pytest.raises(ValueError, match=named):
+            sq.generic_metafib(spec, n)
+    assert spec not in sq._tables  # refused before any table was made
+    assert sq.generic_metafib(spec, 10) == sq.a(0, 10)
+
+
 def test_generic_most_well_behaved_instance():
     spec = sq.GenericMetaFibSpec(0, 1, (1, 1))
     for n in range(0, 200):
@@ -325,3 +335,127 @@ def test_descent_memo_keeps_only_starts_up_to_the_bound(fresh_memos):
             assert sq.as_descent(s, n) == sq.as_via_a0(s, n)
     assert any(sq._descent_memo.values())
     assert all(max(memo) <= top for memo in sq._descent_memo.values() if memo)
+
+
+# The step-by-step algorithms the fast evaluators replaced, kept as their
+# references: a0 one doubling block per peel, the block index by two
+# correcting loops, and the descent re-reading the memo and the block at
+# every step.
+
+def _a0_per_peel(n):
+    if n == 0:
+        return 1
+    total = 0
+    while n > 1:
+        h = (n + 1).bit_length() - 1
+        total += 1 << (h - 1)
+        n -= (1 << h) - 1
+    return total + n
+
+
+def _block_two_loops(s, n):
+    h = max(1, n.bit_length() - 1)
+    while (1 << h) + (s - 1) * h - s + 1 > n:
+        h -= 1
+    while (1 << (h + 1)) + (s - 1) * h - 1 < n:
+        h += 1
+    return h
+
+
+def _as_via_a0_per_peel(s, n):
+    if n <= s + 1:
+        return 1
+    h = _block_two_loops(s, n)
+    if n <= (1 << h) + (s - 1) * h:
+        return 1 << (h - 1)
+    return _a0_per_peel(n - s * h)
+
+
+def _descent_per_step(s, n, memo):
+    total = 0
+    trail = []
+    while True:
+        known = memo.get(n)
+        if known is not None:
+            value = total + known
+            break
+        if n <= s + 1:
+            value = total + 1
+            break
+        if n == s + 2:
+            value = total + 2
+            break
+        h = _block_two_loops(s, n)
+        root = (1 << h) + (s - 1) * h + 1
+        if n <= root:
+            value = total + (1 << (h - 1))
+            break
+        if n <= sq._DESCENT_MEMO_TOP:
+            trail.append((n, total))
+        if n < root + (1 << (h - 1)):
+            total += 1 << (h - 2)
+            n -= (1 << (h - 1)) + s
+        else:
+            total += 1 << (h - 1)
+            n -= (1 << h) + s - 1
+    for start, base in trail:
+        memo[start] = value - base
+    return value
+
+
+def _band_edges(rng, count):
+    """n whose x = n + 1 has low + popcount(high) within 2 of the band bound
+    256 of a0_fast, on both sides, so the band and the fallback both run."""
+    out = []
+    while len(out) < count:
+        high = rng.randrange(1, 1 << 54) << 8
+        low = 256 - high.bit_count() + rng.randrange(-2, 3)
+        if 0 <= low <= 255:
+            out.append((high | low) - 1)
+    return out
+
+
+def test_a0_fast_matches_the_per_peel_loop():
+    # every n < 2**20: the per-peel loop run one peel per entry, each peel
+    # n = 2**h - 1 + k reading the entry of k; the terminal k = 0 adds 0
+    peeled = [0, 1]
+    for n in range(2, 1 << 20):
+        h = (n + 1).bit_length() - 1
+        peeled.append((1 << (h - 1)) + peeled[n + 1 - (1 << h)])
+    assert list(map(sq.a0_fast, range(1 << 20))) == [1] + peeled[1:]
+    assert list(map(_a0_per_peel, range(1 << 12))) == [1] + peeled[1 : 1 << 12]
+    rng = random.Random(20261018)
+    huge = [rng.randrange(1 << 62) for _ in range(200000)]
+    assert list(map(sq.a0_fast, huge)) == list(map(_a0_per_peel, huge))
+    edges = _band_edges(rng, 20000)
+    over = [n for n in edges if ((n + 1) & 255) + ((n + 1) >> 8).bit_count() > 256]
+    assert len(over) > 1000  # the fallback peel runs, not just the band
+    assert list(map(sq.a0_fast, edges)) == list(map(_a0_per_peel, edges))
+
+
+def test_block_and_as_via_a0_match_the_step_by_step_routes():
+    for s in (*range(7), 50, 1000):
+        labels = range(s + 2, 1 << 14)
+        assert [sq._block(s, n) for n in labels] == [_block_two_loops(s, n) for n in labels]
+    rng = random.Random(7)
+    for _ in range(50000):
+        s, n = rng.randrange(7), rng.randint(1, 10**18)
+        if n >= s + 2:
+            assert sq._block(s, n) == _block_two_loops(s, n), (s, n)
+        assert sq.as_via_a0(s, n) == _as_via_a0_per_peel(s, n), (s, n)
+
+
+def test_as_descent_matches_the_per_step_descent_and_its_memo(fresh_memos):
+    # verify's ascending sweep, then random huge starts: same values, and
+    # the memo ends with the same entries as the per-step descent's
+    reference = {s: {} for s in range(7)}
+    labels = range(1, 100001)
+    for s in range(7):
+        assert ([sq.as_descent(s, n) for n in labels]
+                == [_descent_per_step(s, n, reference[s]) for n in labels])
+    rng = random.Random(11)
+    for _ in range(5000):
+        s, n = rng.randrange(7), rng.randint(1, 10**18)
+        assert sq.as_descent(s, n) == _descent_per_step(s, n, reference[s]), (s, n)
+    assert sq._descent_memo == reference
+    assert max(max(memo) for memo in reference.values()) <= sq._DESCENT_MEMO_TOP

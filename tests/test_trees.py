@@ -138,6 +138,55 @@ def test_leaves_in_prefix_at_huge_n():
         trees.leaves_in_prefix(-1, 5)
 
 
+def _block_reaches(s, h, n):
+    return (1 << h) + (s - 1) * h + (1 << h) - 1 >= n
+
+
+def _locus_in_block(s, n, h):
+    base = (1 << h) + (s - 1) * h
+    if n <= base:
+        return trees.NodeLocus(n, trees.SUPER_NODE, h, None, None, False, None)
+    offset = n - base
+    depth, leaf, parent = trees._descend(h, offset)
+    return trees.NodeLocus(n, trees.SUBTREE_NODE, h, offset, depth, leaf, parent)
+
+
+def _locate_linear_h(s, n):
+    """locate as it was: h scanned upward from 1 to the first block that
+    reaches n; the reference for the bit-length start."""
+    if n == 1:
+        return trees.NodeLocus(n, trees.SUBTREE_NODE, 0, 1, 0, True, None)
+    h = 1
+    while not _block_reaches(s, h, n):
+        h += 1
+    return _locus_in_block(s, n, h)
+
+
+def test_locate_and_leaf_flag_match_the_linear_h_scan():
+    for s in range(7):
+        # every label up to 2**16: the same upward scan, resumed from the
+        # previous label's h since h never decreases along the labels; the
+        # remaining fields come from (h, offset) through the same _descend
+        assert trees.locate(s, 1) == _locate_linear_h(s, 1)
+        h = 1
+        for n in range(2, (1 << 16) + 1):
+            while not _block_reaches(s, h, n):
+                h += 1
+            base = (1 << h) + (s - 1) * h
+            locus = trees.locate(s, n)
+            assert (locus.subtree, locus.kind, locus.offset) == (
+                (h, trees.SUPER_NODE, None) if n <= base
+                else (h, trees.SUBTREE_NODE, n - base)), (s, n)
+            assert trees.is_leaf_oracle(s, n) == locus.is_leaf, (s, n)
+    rng = random.Random(2026)
+    cases = [(rng.randrange(7), rng.randint(1, 10**18)) for _ in range(50000)]
+    cases += [(s, rng.randint(1, 10**6)) for s in (50, 1000, 10**6) for _ in range(2000)]
+    for s, n in cases:
+        locus = trees.locate(s, n)
+        assert locus == _locate_linear_h(s, n), (s, n)
+        assert trees.is_leaf_oracle(s, n) == locus.is_leaf, (s, n)
+
+
 def test_trees_stays_independent_of_sequences():
     tree = ast.parse(inspect.getsource(trees))
     imported = set()
