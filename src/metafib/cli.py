@@ -23,6 +23,14 @@ def _guard_dump(count):
                          f"asked for {count}")
 
 
+def _window(args, first):
+    """Indices args.start..args.to of a range dump whose first index is first."""
+    if args.start < first or args.to < args.start:
+        raise ValueError(f"need {first} <= from <= to")
+    _guard_dump(args.to - args.start + 1)
+    return range(args.start, args.to + 1)
+
+
 # Each dump is formatted into one string and written once.
 def _emit_pairs(pairs, fmt, out):
     if fmt == "plain":
@@ -37,17 +45,15 @@ def _emit_table(pairs, fmt, out):
 
 
 def _cmd_seq(args, out):
-    start, stop = args.start, args.to
-    if start < 1 or stop < start:
-        raise ValueError("need 1 <= from <= to")
-    _guard_dump(stop - start + 1)
+    window = _window(args, 1)
     if args.which == "p":
-        values = [sequences.p(args.s, n) for n in range(start, stop + 1)]
+        values = [sequences.p(args.s, n) for n in window]
     else:
         # one table growth and one slice per dump, not a lookup per value
         t = sequences.table(args.s)
-        values = t.values(start, stop) if args.which == "a" else t.d_values(start, stop)
-    _emit_pairs(zip(range(start, stop + 1), values), args.format, out)
+        read = t.values if args.which == "a" else t.d_values
+        values = read(args.start, args.to)
+    _emit_pairs(zip(window, values), args.format, out)
     return 0
 
 
@@ -88,14 +94,10 @@ def _cmd_codes(args, out):
             row = [str(codes.M(n, h)) for h in heights]
             out.write("\t".join([str(n)] + row) + "\n")
     elif sub == "amax":
-        start = max(args.start, 2)
-        _guard_dump(args.to - start + 1)
-        pairs = [(n, codes.a_max(n)) for n in range(start, args.to + 1)]
+        pairs = [(n, codes.a_max(n)) for n in _window(args, 2)]
         _emit_pairs(pairs, args.format, out)
     elif sub == "bseq":
-        start = max(args.start, 1)
-        _guard_dump(args.to - start + 1)
-        pairs = [(n, codes.b_seq(n)) for n in range(start, args.to + 1)]
+        pairs = [(n, codes.b_seq(n)) for n in _window(args, 1)]
         _emit_pairs(pairs, args.format, out)
     return 0
 
@@ -142,11 +144,7 @@ def _cmd_oeis(args, out):
     else:
         if args.seq is None:
             raise ValueError("need either --id or --seq")
-        min_index = 0 if args.seq == "a" else 1
-        role = oeis.SequenceRole(
-            args.seq, args.s, args.index_delta, args.value_delta,
-            min_index - args.index_delta,
-        )
+        role = oeis.SequenceRole(args.seq, args.s, args.index_delta, args.value_delta)
     compared, mismatch = oeis.compare_records(oeis.read_bfile(args.bfile), role)
     if mismatch is not None:
         n, file_value, mine = mismatch

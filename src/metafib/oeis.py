@@ -58,16 +58,20 @@ class SequenceRole:
     shift: int
     index_delta: int
     value_delta: int
-    min_index: int
+
+    @property
+    def min_index(self) -> int:
+        """Local indices start at 0 for kind a and at 1 for the others."""
+        return (0 if self.kind == "a" else 1) - self.index_delta
 
 
 ROLE_MAP = {
-    "A046699": SequenceRole("a", 0, -1, 0, 1),
-    "A006949": SequenceRole("a", 1, 0, 0, 0),
-    "A079559": SequenceRole("d", 0, 1, 0, 0),
-    "A101925": SequenceRole("p", 0, 1, 0, 0),
-    "A005187": SequenceRole("p", 0, 1, -1, 0),
-    "A001511": SequenceRole("ruler", 0, 0, 0, 1),
+    "A046699": SequenceRole("a", 0, -1, 0),
+    "A006949": SequenceRole("a", 1, 0, 0),
+    "A079559": SequenceRole("d", 0, 1, 0),
+    "A101925": SequenceRole("p", 0, 1, 0),
+    "A005187": SequenceRole("p", 0, 1, -1),
+    "A001511": SequenceRole("ruler", 0, 0, 0),
 }
 
 

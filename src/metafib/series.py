@@ -101,13 +101,8 @@ class TruncatedSeries:
             ci = a[i]
             if not ci:
                 continue
-            top = n - i
-            if ci == 1:
-                for j in range(min(len(b) - 1, top) + 1):
-                    out[i + j] += b[j]
-            else:
-                for j in range(min(len(b) - 1, top) + 1):
-                    out[i + j] += ci * b[j]
+            for j in range(min(len(b) - 1, n - i) + 1):
+                out[i + j] += ci * b[j]
         return TruncatedSeries._adopt(out, n)
 
     def scale(self, factor: int) -> "TruncatedSeries":
@@ -211,20 +206,18 @@ def gf_Ds_sum(s: int, order: int) -> TruncatedSeries:
     return out
 
 
-def gf_Ds_nested(s: int, order: int, depth: int) -> TruncatedSeries:
+def gf_Ds_nested(s: int, order: int) -> TruncatedSeries:
     """The same stream from the nested product form, evaluated inside out.
 
-    Exact only when 2**depth > order, which is enforced.
+    The nesting is cut at the smallest depth with 2**depth > order; the
+    levels below that depth only reach powers of z above 2**depth, so the
+    cut is exact.
     """
     if s < 0:
         raise ValueError("gf_Ds_nested needs s >= 0")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if (1 << depth) <= order:
-        raise ValueError("depth too small for this order")
     one = TruncatedSeries.one(order)
     t = one
-    for k in range(depth, 0, -1):
+    for k in range(max(1, order.bit_length()), 0, -1):
         t = one + _times_one_plus_power(t, (1 << k) - 1).shift_by_power(s + (1 << k))
     return (one + t.shift_by_power(s + 1)).shift_by_power(1)
 

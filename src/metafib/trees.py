@@ -96,7 +96,7 @@ def is_leaf_oracle(s: int, n: int) -> int:
     """1 if label n is a leaf, else 0: ``locate(s, n).is_leaf`` as an int,
     from the same block and descent without building the NodeLocus."""
     if s < 0 or n < 1:
-        raise ValueError("locate needs s >= 0, n >= 1")
+        raise ValueError("is_leaf_oracle needs s >= 0, n >= 1")
     if n == 1:
         return 1
     h = _subtree_of(s, n)
@@ -173,8 +173,8 @@ def render(s: int, n: int, max_width: int = 100) -> str:
         raise ValueError("max_width must be >= 1")
     if n > RENDER_CAP:
         raise ValueError(f"render is capped at {RENDER_CAP} nodes (trees.RENDER_CAP)")
-    if n < 1:
-        raise ValueError("render needs n >= 1")
+    if s < 0 or n < 1:
+        raise ValueError("render needs s >= 0, n >= 1")
     lines = [f"first {n} labels of the shift-{s} forest"]
     lines.append("1 leaf")
     label = 2

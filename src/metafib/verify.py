@@ -42,7 +42,7 @@ def _bounds(depth: str) -> dict:
     if depth == "quick":
         return {
             "shift_max": 3, "n_seq": 2000, "n_eval": 5000, "n_tree": 2000,
-            "order": 256, "order_nested": 128, "nested_depth": 8,
+            "order": 256, "order_nested": 128,
             "word_bits": 1 << 10, "morphism_bits": 1 << 12, "word_idx": 10,
             "comp_n": 300, "comp_enum": 20, "codes_n": 9, "dom_n": 9,
             "bridge_n": 512, "stable_n": 60, "chain_n": 1 << 7,
@@ -51,7 +51,7 @@ def _bounds(depth: str) -> dict:
     if depth == "full":
         return {
             "shift_max": 6, "n_seq": 20000, "n_eval": 100000, "n_tree": 20000,
-            "order": 4096, "order_nested": 2048, "nested_depth": 12,
+            "order": 4096, "order_nested": 2048,
             "word_bits": 1 << 14, "morphism_bits": 1 << 16, "word_idx": 16,
             "comp_n": 2000, "comp_enum": 30, "codes_n": 14, "dom_n": 12,
             "bridge_n": 4096, "stable_n": 200, "chain_n": 1 << 10,
@@ -187,7 +187,7 @@ def _check_d_gf(b):
         ds = series.gf_Ds_sum(s, order)
         _agree(map(ds.coefficient, orders), sequences.table(s).d_values(1, order),
                lambda i: f"d gf s={s} n={i+1}")
-        nested = series.gf_Ds_nested(s, b["order_nested"], b["nested_depth"])
+        nested = series.gf_Ds_nested(s, b["order_nested"])
         _need(
             nested == series.gf_Ds_sum(s, b["order_nested"]),
             f"nested form s={s}",

@@ -80,7 +80,7 @@ def test_criterion_4_generating_functions():
             assert pp.coefficient(n) == sq.p(s, n), (s, n)
         if s >= 1:
             assert series.gf_As(s, order) == aa, s
-        assert series.gf_Ds_nested(s, 2048, 12) == series.gf_Ds_sum(s, 2048), s
+        assert series.gf_Ds_nested(s, 2048) == series.gf_Ds_sum(s, 2048), s
     ruler_gf = series.gf_ruler(4096)
     for n in range(1, 4097):
         assert ruler_gf.coefficient(n) == sq.ruler(n), n

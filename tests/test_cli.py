@@ -219,6 +219,24 @@ def test_range_dump_guard_exits_2(capsys, argv):
     assert "dump guard" in err and str(2**22) in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["seq", "a", "--from", "0", "--to", "3"], "need 1 <= from <= to"),
+    (["seq", "p", "--from", "5", "--to", "2"], "need 1 <= from <= to"),
+    (["codes", "amax", "--from", "0", "--to", "3"], "need 2 <= from <= to"),
+    (["codes", "amax", "--from", "1", "--to", "3"], "need 2 <= from <= to"),
+    (["codes", "amax", "--from", "5", "--to", "2"], "need 2 <= from <= to"),
+    (["codes", "bseq", "--from", "0", "--to", "3"], "need 1 <= from <= to"),
+    (["codes", "bseq", "--from", "5", "--to", "2"], "need 1 <= from <= to"),
+    (["tree", "--s", "-1", "--n", "5"], "render needs s >= 0"),
+], ids=["seq-from-0", "seq-reversed", "amax-from-0", "amax-from-1", "amax-reversed",
+        "bseq-from-0", "bseq-reversed", "tree-negative-shift"])
+def test_bad_window_or_shift_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
 def test_range_dump_at_the_guard_is_allowed(capsys, monkeypatch):
     monkeypatch.setattr(cli, "DUMP_GUARD", 9)
     code, out, _ = run_cli(capsys, "codes", "mtable", "--nmax", "4")

@@ -57,6 +57,13 @@ def test_fixture_matches_local_sequence(seq_id):
     assert compared >= 1000
 
 
+def test_role_min_index_is_the_first_local_index_in_range():
+    # a starts at index 0, d/p/ruler at 1; shifted by each role's index_delta
+    first = {"A046699": 1, "A006949": 0, "A079559": 0,
+             "A101925": 0, "A005187": 0, "A001511": 1}
+    assert {name: role.min_index for name, role in oeis.ROLE_MAP.items()} == first
+
+
 def test_shift_identity_between_fixtures():
     plus_one = dict(oeis.read_bfile(fixture("A101925")))
     base = dict(oeis.read_bfile(fixture("A005187")))

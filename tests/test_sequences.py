@@ -34,8 +34,9 @@ def test_d_examples():
     assert sq.d(1, 3) == 1
     assert sq.d(2, 13) == 0
     assert sq.d(0, 1) == 1
-    with pytest.raises(ValueError):
-        sq.d(1, 0)
+    for s, n in ((1, 0), (-1, 5), (-1, 10**18)):
+        with pytest.raises(ValueError, match=r"d\(s, n\)"):
+            sq.d(s, n)
 
 
 def test_p_examples():
@@ -294,8 +295,9 @@ def test_values_on_a_dead_generic_table_stop_at_the_escape():
         assert t.values(0, 40) == list(spec.initial_values)  # it went DEAD
 
 
-# The public a/d read the shared tables through _MEMO_TOP and switch to the
-# closed forms above it; an uncapped SequenceTable is the oracle either side.
+# The public a reads the shared tables through _MEMO_TOP and switches to the
+# closed forms above it, while d reads no table at any n; an uncapped
+# SequenceTable is the oracle either side.
 TOP = sq._MEMO_TOP
 
 
@@ -326,6 +328,13 @@ def test_point_queries_keep_the_tables_bounded(fresh_memos):
         sq.a(s, 10**6)
         sq.d(s, 10**6)
         assert len(sq.table(s)._a) <= TOP + 1
+
+
+def test_d_reads_no_table(fresh_memos):
+    for s in range(7):
+        for n in (1, 2, s + 2, 5000, TOP, TOP + 1, 10**18):
+            sq.d(s, n)
+    assert sq._tables == {}
 
 
 def test_descent_memo_keeps_only_starts_up_to_the_bound(fresh_memos):

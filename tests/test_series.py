@@ -159,16 +159,15 @@ def test_gf_Ds_sum_rows():
 
 
 def test_gf_Ds_nested_matches_sum():
-    assert coeffs_1_to(gf_Ds_nested(2, 12, 5), 12) == ROWS_D[2][:12]
-    assert gf_Ds_nested(0, 20, 6) == gf_Ds_sum(0, 20)
-    assert gf_Ds_nested(1, 1, 2).coeffs == (0, 1)
+    assert coeffs_1_to(gf_Ds_nested(2, 12), 12) == ROWS_D[2][:12]
+    assert gf_Ds_nested(0, 20) == gf_Ds_sum(0, 20)
+    assert gf_Ds_nested(1, 1).coeffs == (0, 1)
     for s in range(5):
-        assert gf_Ds_nested(s, 512, 10) == gf_Ds_sum(s, 512)
-
-
-def test_gf_Ds_nested_depth_guard():
-    with pytest.raises(ValueError):
-        gf_Ds_nested(0, 512, 9)
+        assert gf_Ds_nested(s, 512) == gf_Ds_sum(s, 512)
+        # the derived depth steps between orders 2**k - 1 and 2**k
+        for k in range(12):
+            for order in ((1 << k) - 1, 1 << k):
+                assert gf_Ds_nested(s, order) == gf_Ds_sum(s, order), (s, order)
 
 
 def test_gf_As_rows():

@@ -34,6 +34,14 @@ def test_is_leaf_examples():
     assert trees.is_leaf_oracle(0, 3) == 0
 
 
+def test_render_and_leaf_oracle_reject_bad_input_by_name():
+    for s, n in ((-1, 5), (0, 0)):
+        with pytest.raises(ValueError, match="render"):
+            trees.render(s, n)
+        with pytest.raises(ValueError, match="is_leaf_oracle"):
+            trees.is_leaf_oracle(s, n)
+
+
 def test_leaves_in_prefix_examples():
     assert trees.leaves_in_prefix(0, 5) == 4
     assert trees.leaves_in_prefix(2, 20) == 8

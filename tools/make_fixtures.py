@@ -24,7 +24,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from metafib import trees  # noqa: E402
+from metafib import oeis, trees  # noqa: E402
 
 TERMS = 1020
 OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "tests", "data")
@@ -38,8 +38,7 @@ def write(name, pairs):
     path = os.path.join(OUT_DIR, name)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# generated by tools/make_fixtures.py, {len(pairs)} terms\n")
-        for n, value in pairs:
-            fh.write(f"{n} {value}\n")
+        oeis.write_bfile(fh, pairs)
     print(f"wrote {path}")
 
 
