@@ -11,23 +11,14 @@ import argparse
 import functools
 import sys
 
-from . import codes, compositions, oeis, sequences, series, trees, verify, words
-
-GF_ORDER_GUARD = 1 << 16
-DUMP_GUARD = 1 << 22  # most values (or mtable cells) one range dump prints
-
-
-def _guard_dump(count):
-    if count > DUMP_GUARD:
-        raise ValueError(f"dump guard: at most {DUMP_GUARD} values per call, "
-                         f"asked for {count}")
+from . import codes, compositions, limits, oeis, sequences, series, trees, verify, words
 
 
 def _window(args, first):
     """Indices args.start..args.to of a range dump whose first index is first."""
     if args.start < first or args.to < args.start:
         raise ValueError(f"need {first} <= from <= to")
-    _guard_dump(args.to - args.start + 1)
+    limits.check("values per dump", args.to - args.start + 1, "OUTPUT")
     return range(args.start, args.to + 1)
 
 
@@ -58,8 +49,7 @@ def _cmd_seq(args, out):
 
 
 def _cmd_gf(args, out):
-    if args.order < 0 or args.order > GF_ORDER_GUARD:
-        raise ValueError(f"order must be within 0..{GF_ORDER_GUARD}")
+    limits.check("gf --order", args.order, "GF_ORDER")
     which = args.which
     if which == "ruler":
         gf = series.gf_ruler(args.order)
@@ -80,7 +70,6 @@ def _format_code(code):
 def _cmd_codes(args, out):
     sub = args.codes_cmd
     if sub == "greedy":
-        _guard_dump(args.n)
         out.write(_format_code(codes.greedy_tree(args.n, args.height)) + "\n")
     elif sub == "enumerate":
         for code in codes.enumerate_codes(args.n, args.height):
@@ -88,7 +77,7 @@ def _cmd_codes(args, out):
     elif sub == "mtable":
         if args.nmax < 2:
             raise ValueError("nmax must be >= 2")
-        _guard_dump((args.nmax - 1) ** 2)
+        limits.check("mtable cells (nmax - 1)**2", (args.nmax - 1) ** 2, "OUTPUT")
         heights = range(1, args.nmax)
         for n in range(2, args.nmax + 1):
             row = [str(codes.M(n, h)) for h in heights]

@@ -9,9 +9,7 @@ M table reproduce the shift-0 and shift-1 sequences.
 
 from __future__ import annotations
 
-ENUM_GUARD = 16
-ORACLE_GUARD = 14
-PARTITION_GUARD = 64  # largest 2**h the brute-force partition search accepts
+from . import limits
 
 
 def _ceil_lg(n: int) -> int:
@@ -84,13 +82,12 @@ def enumerate_codes(n: int, h: int | None = None) -> list:
 
     Exhaustive search over non-increasing level tuples with exact Kraft
     accounting in integer units, pruned where the remaining units cannot
-    be split into the pieces still allowed; n is capped to keep the search
-    small.
+    be split into the pieces still allowed; n is capped at
+    limits.ENUM_CODES.
     """
     if n < 2:
         raise ValueError("codes need n >= 2")
-    if n > ENUM_GUARD:
-        raise ValueError(f"enumeration guard: n <= {ENUM_GUARD}")
+    limits.check("enumerate_codes leaves n", n, "ENUM_CODES")
     if h is not None and h < 1:
         raise ValueError("height must be >= 1")
     heights = [h] if h is not None else list(range(_ceil_lg(n), n))
@@ -159,6 +156,7 @@ def greedy_tree(n: int, h: int) -> tuple:
     """
     if h < 1:
         raise ValueError("height must be >= 1")
+    limits.check("greedy_tree leaves n", n, "OUTPUT")  # before 1 << h is built
     if not h + 1 <= n <= 1 << h:
         raise ValueError(f"greedy_tree needs h+1 <= n <= 2**h, got n={n}, h={h}")
     leaves = _greedy_leaves(n, h)
@@ -217,9 +215,7 @@ def M(n: int, h: int) -> int:
 
 
 def M_oracle(n: int, h: int) -> int:
-    """M by brute force over all codes; only for small n."""
-    if n > ORACLE_GUARD:
-        raise ValueError(f"oracle guard: n <= {ORACLE_GUARD}")
+    """M by brute force over all codes; n is bounded by enumerate_codes."""
     best = 0
     for code in enumerate_codes(n, h):
         best = max(best, level_counts(code)[h - 1])
@@ -256,9 +252,8 @@ def max_ones_partition_brute(n: int, h: int) -> int:
         raise ValueError("needs n >= 2")
     if h < 1:
         raise ValueError("height must be >= 1")
+    limits.check("partition total 2**h", 1 << min(h, 64), "PARTITION", f"2**{h}")
     total = 1 << h
-    if total > PARTITION_GUARD:
-        raise ValueError(f"partition guard: 2**h <= {PARTITION_GUARD}")
     best = -1
 
     def search(remaining, parts_left, largest, ones):

@@ -13,11 +13,7 @@ from __future__ import annotations
 
 from operator import add
 
-ENUM_GUARD = 64
-# Largest target counts_up_to builds its O(limit) lists for: at the cap,
-# s = 1 takes about 1.5 s and 120 MB peak RSS (2-core host, Python 3.11.7);
-# 2**22 took 9.6 s and 400 MB.
-COUNT_GUARD = 1 << 20
+from . import limits
 
 
 def part_choices(s: int, i: int) -> tuple:
@@ -27,6 +23,7 @@ def part_choices(s: int, i: int) -> tuple:
     if i < 0:
         raise ValueError("position must be >= 0")
     if i == 0:
+        limits.check("part_choices first parts s", s, "OUTPUT")
         return tuple(range(1, s + 1))
     return (s, (1 << i) + s - 1)
 
@@ -45,9 +42,7 @@ def counts_up_to(s: int, limit: int) -> list:
         raise ValueError("composition rules need s >= 1")
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    if limit > COUNT_GUARD:
-        raise ValueError(f"count guard: targets <= {COUNT_GUARD} "
-                         f"(compositions.COUNT_GUARD), asked for {limit}")
+    limits.check("counts_up_to target", limit, "COUNT")
     total = [0] * (limit + 1)
     layer = [0] * (limit + 1)
     for x in range(1, min(s, limit) + 1):
@@ -66,7 +61,7 @@ def counts_up_to(s: int, limit: int) -> list:
 
 def count_compositions(s: int, n: int) -> int:
     """Number of compositions of n; ``counts_up_to(s, n)[n]``, so n is
-    bounded by COUNT_GUARD."""
+    bounded by limits.COUNT."""
     if n < 1:
         raise ValueError("count_compositions needs n >= 1")
     return counts_up_to(s, n)[n]
@@ -74,12 +69,9 @@ def count_compositions(s: int, n: int) -> int:
 
 def enumerate_compositions(s: int, n: int) -> list:
     """All compositions of n, as part lists in lexicographic order."""
-    if s < 1:
-        raise ValueError("composition rules need s >= 1")
     if n < 1:
         raise ValueError("enumerate_compositions needs n >= 1")
-    if n > ENUM_GUARD:
-        raise ValueError(f"enumeration guard: n <= {ENUM_GUARD}")
+    limits.check("enumerate_compositions n", n, "ENUM_COMPOSITIONS")
     out = []
     prefix = []
 

@@ -26,6 +26,8 @@ import operator
 import threading
 from dataclasses import dataclass
 
+from . import limits
+
 # Largest index the public a answers from the shared tables; above it, a
 # uses the O(log n) closed forms, which cost less than growing a table.  The
 # public d reads no table at any n: its leaf test costs less than a table
@@ -40,11 +42,6 @@ _MEMO_TOP = 1 << 13
 # steps as an unbounded memo (within 0.02%; 2^15 takes 17% more), with a
 # third fewer entries than 2^17.
 _DESCENT_MEMO_TOP = 1 << 16
-
-# Largest index generic_metafib evaluates.  A generic instance has no closed
-# form, so an index means a table grown that far: at the cap, about 1.8 s and
-# 175 MB peak RSS (2-core host, Python 3.11.7), the index bound of a dump.
-GENERIC_GUARD = 1 << 22
 
 
 def ruler(n: int) -> int:
@@ -95,6 +92,7 @@ def shift_family_spec(s: int) -> GenericMetaFibSpec:
     """The generic-recurrence instance that reproduces a(s, .)."""
     if s < 0:
         raise ValueError("shift must be >= 0")
+    limits.check("shift table seed values s + 3", s + 3, "OUTPUT")
     return GenericMetaFibSpec(s, s + 1, tuple([1] * (s + 2) + [2]))
 
 
@@ -390,11 +388,9 @@ def generic_metafib(spec: GenericMetaFibSpec, n: int):
     existing from that point on, and DEAD is returned for it and every
     larger index.  Each spec gets one shared ``SequenceTable``, kept beside
     the shift tables of ``table``.  There is no closed form to fall back
-    on, so n is capped at GENERIC_GUARD.
+    on, so n is capped at limits.OUTPUT.
     """
     if n < 0:
         raise ValueError("generic_metafib needs n >= 0")
-    if n > GENERIC_GUARD:
-        raise ValueError(f"generic guard: n <= {GENERIC_GUARD} "
-                         f"(sequences.GENERIC_GUARD), asked for {n}")
+    limits.check("generic_metafib index n", n, "OUTPUT")
     return _shared(spec, lambda: SequenceTable._generic(spec)).a(n)

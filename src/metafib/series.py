@@ -254,7 +254,7 @@ def gf_As(s: int, order: int) -> TruncatedSeries:
         acc = acc + prod
         n += 1
     inner = (TruncatedSeries.one(order) + acc).shift_by_power(1)
-    front = TruncatedSeries([1] * s, order)  # (1 - z**s) / (1 - z)
+    front = TruncatedSeries([1] * min(s, order + 1), order)  # (1 - z**s) / (1 - z)
     return front * inner
 
 
@@ -271,8 +271,7 @@ def gf_Ps(s: int, order: int) -> TruncatedSeries:
     """
     if s < 0:
         raise ValueError("gf_Ps needs s >= 0")
-    c = [0] * (order + 1)
-    c[0] = 1
+    c = [1] + [0] * order  # a negative order is refused by TruncatedSeries
     k = 1
     while k + 1 <= order:
         c[k + 1] += s

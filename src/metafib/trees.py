@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
+from . import limits
+
 SUBTREE_NODE = "subtree-node"
 SUPER_NODE = "super-node"
-RENDER_CAP = 127  # most labels render draws
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,10 +142,11 @@ def leaf_count_scan(s: int, n_max: int) -> list:
     """
     if s < 0 or n_max < 0:
         raise ValueError("leaf_count_scan needs s >= 0, n_max >= 0")
+    limits.check("leaf_count_scan n_max", n_max, "OUTPUT")
     flags = [1]
     subtree = [1]  # preorder leaf flags of the complete subtree of height h
     while len(flags) < n_max:
-        flags += [0] * s
+        flags += [0] * min(s, n_max)  # s may dwarf the prefix
         flags += subtree
         subtree = [0] + subtree + subtree
     return [0, *accumulate(flags[:n_max])]
@@ -171,8 +173,7 @@ def render(s: int, n: int, max_width: int = 100) -> str:
     """
     if max_width < 1:
         raise ValueError("max_width must be >= 1")
-    if n > RENDER_CAP:
-        raise ValueError(f"render is capped at {RENDER_CAP} nodes (trees.RENDER_CAP)")
+    limits.check("render labels n", n, "RENDER")
     if s < 0 or n < 1:
         raise ValueError("render needs s >= 0, n >= 1")
     lines = [f"first {n} labels of the shift-{s} forest"]

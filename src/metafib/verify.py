@@ -118,10 +118,11 @@ def _check_p_differences(b):
 
 
 def _check_ones_count(b):
+    # flags from the leaf test d: d_values are differences of this same window
     top = b["n_seq"]
     for s in range(b["shift_max"] + 1):
-        t = sequences.table(s)
-        _agree(t.values(1, top), accumulate(t.d_values(1, top)),
+        flags = [sequences.d(s, n) for n in range(1, top + 1)]
+        _agree(sequences.table(s).values(1, top), accumulate(flags),
                lambda i: f"ones count s={s} n={i+1}")
 
 
@@ -311,7 +312,7 @@ def _check_shrink(b):
 
 def _check_counts_roundtrip(b):
     h_top = b["counts_h"]
-    leaf_cap = 14  # keeps n = sum(tau) + 1 within the enumeration guard
+    leaf_cap = 14  # keeps n = sum(tau) + 1 within limits.ENUM_CODES
 
     def grow(tau, h):
         if sum(tau) + 1 > leaf_cap:

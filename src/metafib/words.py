@@ -6,18 +6,16 @@ w[i-1]) so that string positions line up with series exponents.
 
 from __future__ import annotations
 
-from . import sequences
+from . import limits, sequences
 
-WORD_GUARD = 25          # |D_25| = 2**26 - 1 chars; refuse anything bigger
-LENGTH_GUARD = 1 << 22
+# D_n and E_n have 2**(n+1) - 1 characters; past n = 64, 2**65 - 1 stands in.
 
 
 def word_D(n: int) -> str:
     """D_0 = "1", D_{n+1} = "0" + D_n + D_n; the leaf word of one subtree."""
     if n < 0:
         raise ValueError("word_D needs n >= 0")
-    if n > WORD_GUARD:
-        raise ValueError(f"word_D guard: n <= {WORD_GUARD}")
+    limits.check("word_D length", (2 << min(n, 64)) - 1, "OUTPUT", f"2**{n + 1} - 1")
     w = "1"
     for _ in range(n):
         w = "0" + w + w
@@ -28,8 +26,7 @@ def word_E(n: int) -> str:
     """E_0 = "1", E_{n+1} = E_n + E_n + "0"; each E_n extends the last."""
     if n < 0:
         raise ValueError("word_E needs n >= 0")
-    if n > WORD_GUARD:
-        raise ValueError(f"word_E guard: n <= {WORD_GUARD}")
+    limits.check("word_E length", (2 << min(n, 64)) - 1, "OUTPUT", f"2**{n + 1} - 1")
     w = "1"
     for _ in range(n):
         w = w + w + "0"
@@ -44,13 +41,12 @@ def dword_prefix(s: int, length: int) -> str:
     """
     if s < 0 or length < 1:
         raise ValueError("dword_prefix needs s >= 0, length >= 1")
-    if length > LENGTH_GUARD:
-        raise ValueError(f"dword_prefix guard: length <= {LENGTH_GUARD}")
+    limits.check("dword_prefix length", length, "OUTPUT")
     parts = ["1"]
     total = 1
     m = 0
     while total < length:
-        parts.append("0" * s)
+        parts.append("0" * min(s, length - total))  # s may dwarf the prefix
         total += s
         if total >= length:
             break
@@ -69,8 +65,7 @@ def ruler_factorization(s: int, terms: int) -> str:
     """
     if s < 0 or terms < 1:
         raise ValueError("ruler_factorization needs s >= 0, terms >= 1")
-    if sequences.p(s, terms + 1) - 1 > LENGTH_GUARD:
-        raise ValueError(f"ruler_factorization guard: length <= {LENGTH_GUARD}")
+    limits.check("ruler_factorization length", sequences.p(s, terms + 1) - 1, "OUTPUT")
     chunks = []
     for j in range(1, terms + 1):
         run = sequences.ruler(j) + (s if sequences.is_power_of_two(j) else 0)
@@ -82,8 +77,7 @@ def morphism_fixed_point(length: int) -> str:
     """Prefix of the fixed point of 0 -> 0, 1 -> 110, started from "1"."""
     if length < 1:
         raise ValueError("morphism_fixed_point needs length >= 1")
-    if length > LENGTH_GUARD:
-        raise ValueError(f"morphism_fixed_point guard: length <= {LENGTH_GUARD}")
+    limits.check("morphism_fixed_point length", length, "OUTPUT")
     w = "1"
     while len(w) < length:
         w = w.replace("1", "110")  # 0 is fixed, so only the 1s expand

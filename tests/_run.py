@@ -17,3 +17,10 @@ def run_metafib(*args, **kwargs):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "metafib", *args], env=env,
                           capture_output=True, text=True, **kwargs)
+
+
+def cap_child_memory():
+    """``preexec_fn`` that limits the child alone to 1 GiB of address space."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))

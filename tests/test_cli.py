@@ -1,12 +1,14 @@
+import os
+
 import pytest
 
-from metafib import cli
+from metafib import cli, limits
 from metafib import sequences as sq
 from metafib import series, verify
 from metafib.cli import main
 
 from _rows import ROWS_A, ROWS_D
-from _run import run_metafib
+from _run import cap_child_memory, run_metafib
 
 
 def run_cli(capsys, *argv):
@@ -184,26 +186,20 @@ def test_seq_p_at_huge_n():
         assert sq.as_via_a0(3, pos) == n and sq.as_via_a0(3, pos - 1) == n - 1
 
 
-def _cap_child_memory():
-    import resource
-
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-
 def test_codes_greedy_output_guard_exits_2():
     # without the guard this dies of MemoryError under a 1 GiB cap
     result = run_metafib("codes", "greedy", "--n", str(10**9), "--height", "40",
-                         timeout=30, preexec_fn=_cap_child_memory)
+                         timeout=30, preexec_fn=cap_child_memory)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
-    assert f"at most {cli.DUMP_GUARD} values" in result.stderr
+    assert f"<= {limits.OUTPUT} (limits.OUTPUT), asked for {10**9}" in result.stderr
 
 
 def test_word_runs_guard_exits_2(capsys):
     code, out, err = run_cli(capsys, "word", "runs", "--terms", str(10**8))
     assert code == 2
     assert out == ""
-    assert "ruler_factorization guard" in err and str(2**22) in err
+    assert "ruler_factorization length <= 4194304 (limits.OUTPUT)" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -216,7 +212,7 @@ def test_range_dump_guard_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "dump guard" in err and str(2**22) in err
+    assert f"<= {2**22} (limits.OUTPUT)" in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -238,15 +234,36 @@ def test_bad_window_or_shift_exits_2(capsys, argv, message):
 
 
 def test_range_dump_at_the_guard_is_allowed(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "DUMP_GUARD", 9)
+    monkeypatch.setattr(limits, "OUTPUT", 9)
     code, out, _ = run_cli(capsys, "codes", "mtable", "--nmax", "4")
     assert code == 0 and len(out.splitlines()) == 3
     code, _, err = run_cli(capsys, "codes", "mtable", "--nmax", "5")
-    assert code == 2 and "at most 9 values" in err
+    assert code == 2 and "<= 9 (limits.OUTPUT), asked for 16" in err
     code, out, _ = run_cli(capsys, "seq", "a", "--from", "3", "--to", "11")
     assert code == 0 and len(out.splitlines()) == 9
     code, _, err = run_cli(capsys, "seq", "a", "--from", "3", "--to", "12")
     assert code == 2 and "asked for 10" in err
+
+
+BA006949 = os.path.join(os.path.dirname(__file__), "data", "bA006949.txt")
+
+
+@pytest.mark.parametrize("argv", [
+    ["seq", "a", "--s", str(10**18), "--to", "5"],
+    ["seq", "d", "--s", str(10**18), "--to", "5"],
+    ["oeis", "--bfile", BA006949, "--seq", "a", "--s", str(10**18)],
+    ["compositions", "--s", str(10**18), "--n", "5"],
+], ids=["seq-a", "seq-d", "oeis", "compositions"])
+def test_huge_shift_is_refused_by_name(capsys, argv):
+    # each would first list s values: the shift table's seed or the first parts
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and f"<= {2**22} (limits.OUTPUT)" in err
+
+
+def test_huge_shift_stream_prints_the_prefix(capsys):
+    code, out, _ = run_cli(capsys, "word", "stream", "--s", str(10**18), "--length", "5")
+    assert (code, out) == (0, "10000\n")
 
 
 def test_word_and_tree_smoke(capsys):

@@ -73,7 +73,7 @@ def test_enumerate_codes_for_five_leaves():
 
 
 def test_enumerate_codes_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"<= 16 \(limits.ENUM_CODES\), asked for 17"):
         enumerate_codes(17)
     with pytest.raises(ValueError):
         enumerate_codes(1)
@@ -104,6 +104,10 @@ def test_greedy_tree_examples():
         greedy_tree(9, 3)
     with pytest.raises(ValueError):
         greedy_tree(3, 3)
+    # more leaves than limits.OUTPUT are refused before 2**h is built
+    for n, h in ((2**22 + 1, 23), (10**18, 10**17)):
+        with pytest.raises(ValueError, match=r"<= 4194304 \(limits.OUTPUT\)"):
+            greedy_tree(n, h)
 
 
 def test_greedy_tree_appears_in_enumeration():
@@ -182,8 +186,10 @@ def test_M_oracle_examples():
     assert M_oracle(5, 3) == 2
     assert M_oracle(5, 4) == 1
     assert M_oracle(2, 1) == 1
-    with pytest.raises(ValueError):
-        M_oracle(15, 3)
+    # bounded only by enumerate_codes, whose limit is 16 leaves
+    assert M_oracle(16, 5) == M(16, 5)
+    with pytest.raises(ValueError, match=r"<= 16 \(limits.ENUM_CODES\)"):
+        M_oracle(17, 3)
 
 
 def test_M_matches_oracle_everywhere_small():

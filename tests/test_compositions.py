@@ -23,11 +23,11 @@ def test_part_choices():
 
 
 def test_counts_are_guarded_before_allocating():
-    from metafib.compositions import COUNT_GUARD
+    from metafib.limits import COUNT
 
     assert len(counts_up_to(3, 5000)) == 5001
-    named = rf"<= {COUNT_GUARD} \(compositions.COUNT_GUARD\)"
-    for limit in (COUNT_GUARD + 1, 10**18):  # 10**18 slots could not be allocated
+    named = rf"<= {COUNT} \(limits.COUNT\)"
+    for limit in (COUNT + 1, 10**18):  # 10**18 slots could not be allocated
         with pytest.raises(ValueError, match=named):
             counts_up_to(2, limit)
         with pytest.raises(ValueError, match=named):
@@ -100,7 +100,12 @@ def test_guards():
         count_compositions(0, 5)
     with pytest.raises(ValueError):
         enumerate_compositions(0, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"<= 64 \(limits.ENUM_COMPOSITIONS\)"):
         enumerate_compositions(1, 65)
+    # the first position would list s parts; later positions take two
+    assert part_choices(10**18, 3) == (10**18, 10**18 + 7)
+    for call in (lambda: part_choices(10**18, 0), lambda: enumerate_compositions(10**18, 5)):
+        with pytest.raises(ValueError, match=r"<= 4194304 \(limits.OUTPUT\)"):
+            call()
     with pytest.raises(ValueError):
         count_compositions(1, 0)

@@ -4,8 +4,8 @@ import time
 
 import pytest
 
+from metafib import limits, trees
 from metafib import sequences as sq
-from metafib import trees
 
 from _rows import ROWS_A, ROWS_D, ROWS_P, RULER_PREFIX
 
@@ -232,12 +232,23 @@ def test_generic_death():
 
 def test_generic_index_is_guarded(fresh_memos):
     spec = sq.GenericMetaFibSpec(0, 1, (1, 1))
-    named = rf"<= {sq.GENERIC_GUARD} \(sequences.GENERIC_GUARD\)"
-    for n in (sq.GENERIC_GUARD + 1, 10**18):
+    named = rf"<= {limits.OUTPUT} \(limits.OUTPUT\)"
+    for n in (limits.OUTPUT + 1, 10**18):
         with pytest.raises(ValueError, match=named):
             sq.generic_metafib(spec, n)
     assert spec not in sq._tables  # refused before any table was made
     assert sq.generic_metafib(spec, 10) == sq.a(0, 10)
+
+
+def test_shift_table_seed_is_guarded(fresh_memos):
+    # the shift-s table seeds s + 3 values, so a huge s is refused before seeding
+    named = rf"seed values s \+ 3 <= {limits.OUTPUT} \(limits.OUTPUT\)"
+    for s in (limits.OUTPUT - 2, 10**18):
+        for call in (sq.shift_family_spec, sq.table, lambda s: sq.a(s, 5)):
+            with pytest.raises(ValueError, match=named):
+                call(s)
+    assert sq._tables == {}
+    assert sq.d(10**18, 1) == 1 and sq.d(10**18, 2) == 0  # the leaf test needs no table
 
 
 def test_generic_most_well_behaved_instance():

@@ -183,6 +183,8 @@ def test_gf_A_from_D_rows():
     assert coeffs_1_to(gf, 20) == ROWS_A[0]
     assert gf.coefficient(0) == 0
     assert gf_A_from_D(2, 256) == gf_As(2, 256)
+    # the front factor 1 + z + ... + z**(s-1) is cut at the order
+    assert gf_As(10**18, 10) == gf_A_from_D(10**18, 10)
 
 
 def test_gf_Ps_values():

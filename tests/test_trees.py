@@ -89,8 +89,11 @@ def test_scan_sweep_matches_locate():
             running.append(running[-1] + trees.is_leaf_oracle(s, n))
         assert trees.leaf_count_scan(s, 5000) == running
     assert trees.leaf_count_scan(3, 0) == [0]
+    assert trees.leaf_count_scan(10**18, 5) == [0, 1, 1, 1, 1, 1]  # zeros stop at n_max
     with pytest.raises(ValueError):
         trees.leaf_count_scan(-1, 5)
+    with pytest.raises(ValueError, match=r"<= 4194304 \(limits.OUTPUT\)"):
+        trees.leaf_count_scan(0, 10**18)
 
 
 def test_adjacent_leaves_are_siblings():
@@ -131,7 +134,7 @@ def test_render_smoke():
 
 
 def test_render_cap_and_width():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"<= 127 \(limits.RENDER\), asked for 128"):
         trees.render(0, 128)
     narrow = trees.render(2, 9, max_width=5)
     assert all(len(line) <= 5 for line in narrow.splitlines())

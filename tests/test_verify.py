@@ -24,6 +24,16 @@ def test_evaluator_mismatch_names_the_first_bad_label(monkeypatch):
                      for line in (f"PASS  {name}" for name, _ in verify.IDENTITIES)]
 
 
+def test_flipped_leaf_flag_fails_only_the_ones_count(monkeypatch):
+    # the public d is checked nowhere else, so only this identity may notice
+    real = sequences.d
+    monkeypatch.setattr(sequences, "d", lambda s, n: real(s, n) ^ (s == 2 and n == 77))
+    ok, lines = run_quick()
+    assert not ok
+    failed = [line for line in lines if not line.startswith("PASS")]
+    assert failed == ["FAIL  a equals the count of leaf flags: ones count s=2 n=77"]
+
+
 def test_composition_count_mismatch_fails_only_its_identity(monkeypatch):
     real = compositions.counts_up_to
 

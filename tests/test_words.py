@@ -1,7 +1,7 @@
 import pytest
 
+from metafib import limits, trees, words
 from metafib import sequences as sq
-from metafib import trees, words
 
 from _rows import ROWS_D
 
@@ -31,6 +31,13 @@ def test_word_guards():
         words.word_E(26)
     with pytest.raises(ValueError):
         words.dword_prefix(0, 2**22 + 1)
+    # 2**(n+1) - 1 characters: n = 21 fits limits.OUTPUT, n = 22 does not
+    assert len(words.word_E(21)) == 2**22 - 1
+    for n in (22, 10**18):
+        for word in (words.word_D, words.word_E):
+            with pytest.raises(ValueError, match=rf"length <= {2**22} \(limits.OUTPUT\), "
+                                                 rf"asked for 2\*\*{n + 1} - 1"):
+                word(n)
 
 
 def test_dword_prefix_values():
@@ -39,6 +46,7 @@ def test_dword_prefix_values():
     assert words.dword_prefix(1, 1) == "1"
     for s in range(3):
         assert words.dword_prefix(s, 20) == row_string(s)
+    assert words.dword_prefix(10**18, 5) == "10000"  # the zeros stop at the length
 
 
 def test_ruler_factorization_values():
@@ -54,9 +62,10 @@ def test_ruler_factorization_length_and_guard():
             built = words.ruler_factorization(s, terms)
             assert len(built) == sq.p(s, terms + 1) - 1
     # 2**21 + 1 terms of shift 0 fill exactly 2**22 characters
-    assert sq.p(0, 2**21 + 2) - 1 == words.LENGTH_GUARD
+    assert sq.p(0, 2**21 + 2) - 1 == limits.OUTPUT
     for s, terms in ((0, 2**21 + 2), (3, 10**8)):
-        with pytest.raises(ValueError, match="ruler_factorization guard"):
+        with pytest.raises(ValueError, match=r"ruler_factorization length <= 4194304 "
+                                             r"\(limits.OUTPUT\)"):
             words.ruler_factorization(s, terms)
 
 
