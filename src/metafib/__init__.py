@@ -4,8 +4,6 @@ functions, compositions, compact codes) exposed as a checkable computation.
 """
 
 from .sequences import (
-    DEAD,
-    GenericMetaFibSpec,
     SequenceTable,
     a,
     a0_fast,
@@ -13,11 +11,9 @@ from .sequences import (
     as_descent,
     as_via_a0,
     d,
-    generic_metafib,
     is_power_of_two,
     p,
     ruler,
-    shift_family_spec,
     table,
 )
 from .trees import NodeLocus, is_leaf_oracle, leaves_in_prefix, locate, render
@@ -30,7 +26,6 @@ from .words import (
 )
 from .series import (
     TruncatedSeries,
-    geom_inverse,
     gf_A_from_D,
     gf_As,
     gf_D0,

@@ -31,14 +31,6 @@ def validate_code(levels) -> tuple:
     return levels
 
 
-def kraft_is_exact(levels) -> bool:
-    try:
-        validate_code(levels)
-    except ValueError:
-        return False
-    return True
-
-
 def validate_counts(tau) -> list:
     tau = list(tau)
     if not tau:

@@ -9,8 +9,7 @@ preorder labels.  Three sequences describe it:
 * ``p(s, n)``  label of the n-th leaf.
 
 ``a`` satisfies a nested recurrence (its own values feed back into its
-indices).  One engine, ``SequenceTable``, grows every instance of that
-recurrence family (``GenericMetaFibSpec``), the shift-s forests included;
+indices).  One engine, ``SequenceTable``, grows it for each shift s;
 ``d`` is a difference of ``a`` and ``p`` has a closed form.  The public
 ``a`` reads the shared tables only through index ``_MEMO_TOP`` and answers
 from the closed forms above it, so no point query grows a table past that
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import operator
 import threading
-from dataclasses import dataclass
 
 from . import limits
 
@@ -56,112 +54,50 @@ def is_power_of_two(n: int) -> bool:
     return n >= 1 and n & (n - 1) == 0
 
 
-class _Dead:
-    """Outcome of a self-referential recurrence that ran off its own tape."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "DEAD"
-
-
-DEAD = _Dead()
-
-
-@dataclass(frozen=True)
-class GenericMetaFibSpec:
-    """Recurrence a(n) = a(n - alpha - a(n-1)) + a(n - beta - a(n-2)).
-
-    ``initial_values`` seed indices 0..len-1.  The shift-s family is the
-    instance alpha = s, beta = s + 1 seeded with ones and a final 2.
-    """
-
-    alpha: int
-    beta: int
-    initial_values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "initial_values", tuple(self.initial_values))
-        if not self.initial_values:
-            raise ValueError("initial_values must be nonempty")
-        if any(v < 1 for v in self.initial_values):
-            raise ValueError("initial_values must all be >= 1")
-
-
-def shift_family_spec(s: int) -> GenericMetaFibSpec:
-    """The generic-recurrence instance that reproduces a(s, .)."""
-    if s < 0:
-        raise ValueError("shift must be >= 0")
-    limits.check("shift table seed values s + 3", s + 3, "OUTPUT")
-    return GenericMetaFibSpec(s, s + 1, tuple([1] * (s + 2) + [2]))
-
-
-# SequenceTable builds its spec through this private name, so a wrapper put
-# over the public ``shift_family_spec`` (perfbench's span tracer installs
-# one) never adds a call to the path of ``a`` and ``d``.
-_shift_spec = shift_family_spec
-
-
 class SequenceTable:
-    """Append-only memo of one instance of the recurrence family.
+    """Append-only memo of the shift-s recurrence
+    a(n) = a(n - s - a(n-1)) + a(n - s - 1 - a(n-2)), seeded with s + 2
+    ones and a final 2.
 
-    ``SequenceTable(s)`` is the shift-s instance (``shift_family_spec``),
-    whose indices provably never escape: if one does, that is a bug and
-    ``RuntimeError`` is raised.  A generic instance (``generic_metafib``)
-    instead stops growing at its first escaping index and answers DEAD
-    from there on.  Values already handed out never change; growth is
-    serialized by an internal lock so a table may be shared across threads.
+    Its indices provably never escape the values already defined; if one
+    does, that is a bug and ``RuntimeError`` is raised.  Values already
+    handed out never change; growth is serialized by an internal lock so a
+    table may be shared across threads.
     """
 
     def __init__(self, shift: int):
-        self._start(_shift_spec(shift), shift)
-
-    @classmethod
-    def _generic(cls, spec: GenericMetaFibSpec) -> SequenceTable:
-        table = cls.__new__(cls)
-        table._start(spec, None)
-        return table
-
-    def _start(self, spec: GenericMetaFibSpec, shift) -> None:
-        self._spec = spec
-        self.shift = shift  # None for a generic instance
-        self._a = list(spec.initial_values)
-        self._dead = False
+        if shift < 0:
+            raise ValueError("shift must be >= 0")
+        limits.check("shift table seed values s + 3", shift + 3, "OUTPUT")
+        self.shift = shift
+        self._a = [1] * (shift + 2) + [2]
         self._lock = threading.Lock()
 
     def extend_to(self, n: int) -> None:
-        """Grow the memo through index n, or up to the escape of a generic one."""
+        """Grow the memo through index n."""
         with self._lock:
             vals = self._a
-            alpha, beta = self._spec.alpha, self._spec.beta
+            s = self.shift
             m = len(vals)
-            while m <= n and not self._dead:
-                i = m - alpha - vals[m - 1]
-                j = m - beta - vals[m - 2]
-                if m < 2 or not (0 <= i < m and 0 <= j < m):
-                    if self.shift is not None:
-                        # Cannot happen if the recurrence is implemented correctly.
-                        raise RuntimeError(
-                            f"recurrence argument out of range at shift={self.shift} "
-                            f"n={m}: {i}, {j}"
-                        )
-                    self._dead = True
-                    break
+            while m <= n:
+                i = m - s - vals[m - 1]
+                j = m - s - 1 - vals[m - 2]
+                if not (0 <= i < m and 0 <= j < m):
+                    # Cannot happen if the recurrence is implemented correctly.
+                    raise RuntimeError(
+                        f"recurrence argument out of range at shift={s} n={m}: {i}, {j}"
+                    )
                 vals.append(vals[i] + vals[j])
                 m += 1
 
-    def a(self, n: int):
+    def a(self, n: int) -> int:
         if n < 0:
             raise ValueError("a(s, n) needs n >= 0")
         self.extend_to(n)
-        return self._a[n] if n < len(self._a) else DEAD
+        return self._a[n]
 
     def values(self, lo: int, hi: int) -> list:
-        """Values a(lo..hi) as a list (a copy; safe to mutate); one growth.
-
-        A generic table that went DEAD returns only its values below the
-        escape index.
-        """
+        """Values a(lo..hi) as a list (a copy; safe to mutate); one growth."""
         if lo < 0:
             raise ValueError("a(s, n) needs n >= 0")
         self.extend_to(hi)
@@ -178,22 +114,18 @@ class SequenceTable:
         return out
 
 
-# One table per shift s (key: the int) and per generic spec (key: the spec).
+# One shared table per shift s.
 _tables: dict = {}
 _tables_lock = threading.Lock()
 
 
-def _shared(key, make) -> SequenceTable:
-    with _tables_lock:
-        t = _tables.get(key)
-        if t is None:
-            t = _tables[key] = make()
-        return t
-
-
 def table(s: int) -> SequenceTable:
     """Shared memo table for shift ``s``."""
-    return _shared(s, lambda: SequenceTable(s))
+    with _tables_lock:
+        t = _tables.get(s)
+        if t is None:
+            t = _tables[s] = SequenceTable(s)
+        return t
 
 
 def a(s: int, n: int) -> int:
@@ -379,18 +311,3 @@ def as_descent(s: int, n: int) -> int:
     for start, base in trail:
         memo[start] = value - base
     return value
-
-
-def generic_metafib(spec: GenericMetaFibSpec, n: int):
-    """Evaluate any instance of the recurrence; DEAD once an index escapes.
-
-    An out-of-range argument is not an error: the sequence simply stops
-    existing from that point on, and DEAD is returned for it and every
-    larger index.  Each spec gets one shared ``SequenceTable``, kept beside
-    the shift tables of ``table``.  There is no closed form to fall back
-    on, so n is capped at limits.OUTPUT.
-    """
-    if n < 0:
-        raise ValueError("generic_metafib needs n >= 0")
-    limits.check("generic_metafib index n", n, "OUTPUT")
-    return _shared(spec, lambda: SequenceTable._generic(spec)).a(n)

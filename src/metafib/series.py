@@ -2,13 +2,17 @@
 
 A TruncatedSeries holds integer coefficients c_0..c_N for a series known
 mod z^(N+1).  All arithmetic is exact; the only divisions anywhere are by
-units of the form 1 - z^m, handled by prefix sums.
+units of the form 1 - z^m, handled by prefix sums.  Every series is built
+through the constructor, which refuses an order above ``limits.OUTPUT``
+before it allocates a coefficient.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+
+from . import limits
 
 
 class TruncatedSeries:
@@ -24,6 +28,7 @@ class TruncatedSeries:
             order = len(coeffs) - 1
         if order < 0:
             raise ValueError("order must be >= 0")
+        limits.check("series order", order, "OUTPUT")
         if len(coeffs) < order + 1:
             coeffs.extend([0] * (order + 1 - len(coeffs)))
         else:
@@ -51,10 +56,10 @@ class TruncatedSeries:
     def monomial(cls, exponent: int, order: int) -> "TruncatedSeries":
         if exponent < 0:
             raise ValueError("exponent must be >= 0")
-        c = [0] * (order + 1)
+        out = cls.zero(order)
         if exponent <= order:
-            c[exponent] = 1
-        return cls(c, order)
+            out._c[exponent] = 1
+        return out
 
     @property
     def coeffs(self) -> tuple:
@@ -72,9 +77,6 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.order == other.order and self._c == other._c
-
-    def __hash__(self):
-        return hash((self.order, tuple(self._c)))
 
     def __repr__(self):
         shown = ", ".join(f"{c}*z^{i}" for i, c in enumerate(self._c) if c)
@@ -105,9 +107,6 @@ class TruncatedSeries:
                 out[i + j] += ci * b[j]
         return TruncatedSeries._adopt(out, n)
 
-    def scale(self, factor: int) -> "TruncatedSeries":
-        return TruncatedSeries._adopt([factor * c for c in self._c], self.order)
-
     def shift_by_power(self, k: int) -> "TruncatedSeries":
         """Multiply by z**k (coefficients above the order fall off)."""
         if k < 0:
@@ -123,25 +122,16 @@ class TruncatedSeries:
         return TruncatedSeries._adopt(list(itertools.accumulate(self._c)), self.order)
 
 
-def geom_inverse(m: int, order: int) -> TruncatedSeries:
-    """1 / (1 - z**m): ones at the multiples of m."""
-    if m < 1:
-        raise ValueError("geom_inverse needs m >= 1")
-    c = [0] * (order + 1)
-    for i in range(0, order + 1, m):
-        c[i] = 1
-    return TruncatedSeries(c, order)
-
-
 def gf_ruler(order: int) -> TruncatedSeries:
     """Sum over k of z**(2**k) / (1 - z**(2**k)); coefficient n is ruler(n)."""
-    c = [0] * (order + 1)
+    out = TruncatedSeries.zero(order)
+    c = out._c
     k = 1
     while k <= order:
         for i in range(k, order + 1, k):
             c[i] += 1
         k <<= 1
-    return TruncatedSeries(c, order)
+    return out
 
 
 def _times_one_plus_power(series: TruncatedSeries, t: int) -> TruncatedSeries:
@@ -271,11 +261,12 @@ def gf_Ps(s: int, order: int) -> TruncatedSeries:
     """
     if s < 0:
         raise ValueError("gf_Ps needs s >= 0")
-    c = [1] + [0] * order  # a negative order is refused by TruncatedSeries
+    out = TruncatedSeries.one(order)
+    c = out._c
     k = 1
     while k + 1 <= order:
         c[k + 1] += s
         for i in range(k + 1, order + 1, k):
             c[i] += 1
         k <<= 1
-    return TruncatedSeries(c, order).prefix_sums()
+    return out.prefix_sums()

@@ -193,6 +193,13 @@ def _check_d_gf(b):
             nested == series.gf_Ds_sum(s, b["order_nested"]),
             f"nested form s={s}",
         )
+    _agree(series.gf_D0(order).coeffs, series.gf_Ds_sum(0, order).coeffs,
+           lambda i: f"product form D0 at z^{i}")
+    for n in range(b["word_idx"] + 1):
+        word = words.word_D(n)[:order]
+        _agree(series.gf_Dn(n, order).support(),
+               [i + 1 for i, c in enumerate(word) if c == "1"],
+               lambda i: f"D_{n} gf support rank={i+1}")
 
 
 def _check_a_gf(b):

@@ -14,7 +14,6 @@ from metafib.codes import (
     greedy_step_counts,
     greedy_tree,
     greedy_tree_unbounded,
-    kraft_is_exact,
     level_counts,
     max_ones_partition_brute,
     shrink,
@@ -93,7 +92,7 @@ def test_enumeration_sizes_match_A002572():
 def test_every_enumerated_code_is_valid():
     for n in range(2, 11):
         for code in enumerate_codes(n):
-            assert kraft_is_exact(code)
+            assert validate_code(code) == code
 
 
 def test_greedy_tree_examples():

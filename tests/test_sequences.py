@@ -182,7 +182,7 @@ def test_shared_table_is_thread_safe():
     import threading
 
     shared = sq.SequenceTable(3)
-    spec = sq.GenericMetaFibSpec(0, 1, (1, 1))
+    shared0 = sq.SequenceTable(0)
     failures = []
 
     def worker(seed):
@@ -190,13 +190,13 @@ def test_shared_table_is_thread_safe():
             if shared.a(n) != sq.a(3, n):
                 failures.append(n)
 
-    def generic_worker(seed):
+    def shift0_worker(seed):
         for n in range(seed, 6000, 7):
-            if sq.generic_metafib(spec, n) != sq.a(0, n):
-                failures.append(("generic", n))
+            if shared0.a(n) != sq.a0_fast(n):
+                failures.append(("shift 0", n))
 
     threads = [threading.Thread(target=worker, args=(k,)) for k in range(1, 8)]
-    threads += [threading.Thread(target=generic_worker, args=(k,)) for k in range(7)]
+    threads += [threading.Thread(target=shift0_worker, args=(k,)) for k in range(7)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -209,64 +209,25 @@ def test_shared_table_is_thread_safe():
     assert not any(t.is_alive() for t in threads)
     assert not failures
     assert shared.values(0, 6000) == sq.table(3).values(0, 6000)
+    assert shared0.values(0, 6000) == sq.table(0).values(0, 6000)
 
 
-def test_generic_matches_shift_family():
+def test_shift_table_matches_the_tree_scan():
     # against the tree oracle: a(s, 0) is the base value 1, then leaf counts
-    for s in range(4):
-        spec = sq.shift_family_spec(s)
+    for s in range(7):
         scan = trees.leaf_count_scan(s, 399)
-        assert sq.generic_metafib(spec, 0) == 1
-        for n in range(1, 400):
-            assert sq.generic_metafib(spec, n) == scan[n]
-
-
-def test_generic_death():
-    spec = sq.GenericMetaFibSpec(1, 2, (1, 1))
-    # index 2 asks for a(0 - a(0)) = a(-1): outside the defined range
-    assert sq.generic_metafib(spec, 0) == 1
-    assert sq.generic_metafib(spec, 1) == 1
-    assert sq.generic_metafib(spec, 2) is sq.DEAD
-    assert sq.generic_metafib(spec, 7) is sq.DEAD
-
-
-def test_generic_index_is_guarded(fresh_memos):
-    spec = sq.GenericMetaFibSpec(0, 1, (1, 1))
-    named = rf"<= {limits.OUTPUT} \(limits.OUTPUT\)"
-    for n in (limits.OUTPUT + 1, 10**18):
-        with pytest.raises(ValueError, match=named):
-            sq.generic_metafib(spec, n)
-    assert spec not in sq._tables  # refused before any table was made
-    assert sq.generic_metafib(spec, 10) == sq.a(0, 10)
+        assert sq.table(s).values(0, 399) == [1] + scan[1:]
 
 
 def test_shift_table_seed_is_guarded(fresh_memos):
     # the shift-s table seeds s + 3 values, so a huge s is refused before seeding
     named = rf"seed values s \+ 3 <= {limits.OUTPUT} \(limits.OUTPUT\)"
     for s in (limits.OUTPUT - 2, 10**18):
-        for call in (sq.shift_family_spec, sq.table, lambda s: sq.a(s, 5)):
+        for call in (sq.SequenceTable, sq.table, lambda s: sq.a(s, 5)):
             with pytest.raises(ValueError, match=named):
                 call(s)
     assert sq._tables == {}
     assert sq.d(10**18, 1) == 1 and sq.d(10**18, 2) == 0  # the leaf test needs no table
-
-
-def test_generic_most_well_behaved_instance():
-    spec = sq.GenericMetaFibSpec(0, 1, (1, 1))
-    for n in range(0, 200):
-        assert sq.generic_metafib(spec, n) == sq.a(0, n)
-
-
-def test_generic_rejects_bad_seeds():
-    with pytest.raises(ValueError):
-        sq.GenericMetaFibSpec(1, 2, ())
-    with pytest.raises(ValueError):
-        sq.GenericMetaFibSpec(1, 2, (1, 0))
-
-
-def test_single_seed_dies_immediately():
-    spec = sq.GenericMetaFibSpec(0, 1, (1,))
-    assert sq.generic_metafib(spec, 1) is sq.DEAD
 
 
 def test_values_and_d_values_match_per_value():
@@ -294,16 +255,6 @@ def test_values_copy_is_safe_to_mutate():
     window = t.values(3, 9)
     window[0] = -1
     assert t.values(3, 9)[0] == sq.a(2, 3)
-
-
-def test_values_on_a_dead_generic_table_stop_at_the_escape():
-    for spec in (sq.GenericMetaFibSpec(1, 2, (1, 1)), sq.GenericMetaFibSpec(0, 1, (1,))):
-        t = sq.SequenceTable._generic(spec)
-        for hi in (0, 1, 2, 7, 40):
-            for lo in (0, 1, 2, 5):
-                alive = [v for v in map(t.a, range(lo, hi + 1)) if v is not sq.DEAD]
-                assert t.values(lo, hi) == alive
-        assert t.values(0, 40) == list(spec.initial_values)  # it went DEAD
 
 
 # The public a reads the shared tables through _MEMO_TOP and switches to the

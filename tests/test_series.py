@@ -2,11 +2,11 @@ import random
 
 import pytest
 
+from metafib import limits
 from metafib import sequences as sq
 from metafib import words
 from metafib.series import (
     TruncatedSeries,
-    geom_inverse,
     gf_A_from_D,
     gf_As,
     gf_D0,
@@ -36,7 +36,7 @@ def test_plumbing_examples():
 def test_shift_and_scale():
     s = TruncatedSeries([1, 2, 3], 2)
     assert s.shift_by_power(1).coeffs == (0, 1, 2)
-    assert s.scale(-2).coeffs == (-2, -4, -6)
+    assert (s * TruncatedSeries([-2], 2)).coeffs == (-2, -4, -6)  # a constant factor
     with pytest.raises(ValueError):
         s.coefficient(3)
 
@@ -76,13 +76,14 @@ def test_arithmetic_keeps_exactly_order_plus_one_coefficients():
             assert shifted.order == x.order
             assert list(shifted.coeffs) == _padded_shift(x, k)
             assert len(shifted._c) == x.order + 1
-        for derived in (x * y, x.scale(3), x.prefix_sums()):
+        for derived in (x * y, x - TruncatedSeries.zero(x.order + 3), x.prefix_sums()):
             assert len(derived._c) == derived.order + 1
 
 
 def test_results_do_not_share_coefficients_with_operands():
     x = TruncatedSeries([1, 2, 3], 2)
-    for derived in (x.shift_by_power(0), x + TruncatedSeries.zero(5), x.scale(1)):
+    for derived in (x.shift_by_power(0), x + TruncatedSeries.zero(5),
+                    x - TruncatedSeries.zero(2)):
         derived._c[0] = 99
         assert x.coeffs == (1, 2, 3)
 
@@ -93,13 +94,6 @@ def test_constructor_pads_and_truncates():
     source = [5, 6, 7]
     TruncatedSeries(source, 1)
     assert source == [5, 6, 7]
-
-
-def test_geom_inverse():
-    assert geom_inverse(1, 3).coeffs == (1, 1, 1, 1)
-    assert geom_inverse(4, 9).coeffs == (1, 0, 0, 0, 1, 0, 0, 0, 1, 0)
-    inverse_check = geom_inverse(2, 10) * TruncatedSeries([1, 0, -1], 10)
-    assert inverse_check == TruncatedSeries.one(10)
 
 
 def test_mul_associative_commutative():
@@ -215,3 +209,26 @@ def test_gf_midrange_against_sequences():
             assert pp.coefficient(n) == sq.p(s, n)
         if s >= 1:
             assert gf_As(s, order) == aa
+
+
+@pytest.mark.parametrize("build", [
+    lambda order: TruncatedSeries([1], order),
+    TruncatedSeries.zero,
+    TruncatedSeries.one,
+    lambda order: TruncatedSeries.monomial(1, order),
+    gf_ruler,
+    lambda order: gf_Dn(2, order),
+    gf_D0,
+    lambda order: gf_Ds_sum(1, order),
+    lambda order: gf_Ds_nested(1, order),
+    lambda order: gf_As(1, order),
+    lambda order: gf_A_from_D(1, order),
+    lambda order: gf_Ps(1, order),
+], ids=["TruncatedSeries", "zero", "one", "monomial", "gf_ruler", "gf_Dn", "gf_D0",
+        "gf_Ds_sum", "gf_Ds_nested", "gf_As", "gf_A_from_D", "gf_Ps"])
+def test_order_past_the_output_limit_is_refused(build):
+    # refused before the order + 1 coefficients are allocated
+    named = rf"series order <= {limits.OUTPUT} \(limits.OUTPUT\)"
+    for order in (limits.OUTPUT + 1, 10**18):
+        with pytest.raises(ValueError, match=named):
+            build(order)

@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from metafib import compositions, sequences, verify
+from metafib import compositions, sequences, series, verify
 
 
 def run_quick():
@@ -32,6 +32,40 @@ def test_flipped_leaf_flag_fails_only_the_ones_count(monkeypatch):
     assert not ok
     failed = [line for line in lines if not line.startswith("PASS")]
     assert failed == ["FAIL  a equals the count of leaf flags: ones count s=2 n=77"]
+
+
+def test_d0_product_off_by_one_fails_only_the_leaf_stream_gf(monkeypatch):
+    real = series.gf_D0
+
+    def off_at_100(order):
+        gf = real(order)
+        gf._c[100] += 1
+        return gf
+
+    monkeypatch.setattr(series, "gf_D0", off_at_100)
+    ok, lines = run_quick()
+    assert not ok
+    failed = [line for line in lines if not line.startswith("PASS")]
+    assert failed == ["FAIL  leaf-stream generating functions (sum and nested): "
+                      "product form D0 at z^100"]
+
+
+def test_dn_product_missing_a_term_fails_only_the_leaf_stream_gf(monkeypatch):
+    real = series.gf_Dn
+
+    def last_term_dropped_at_5(n, order):
+        gf = real(n, order)
+        if n == 5:
+            gf._c[gf.support()[-1]] = 0
+        return gf
+
+    monkeypatch.setattr(series, "gf_Dn", last_term_dropped_at_5)
+    ok, lines = run_quick()
+    assert not ok
+    failed = [line for line in lines if not line.startswith("PASS")]
+    # D_5 has 2**5 ones, so the support comes up one short at rank 32
+    assert failed == ["FAIL  leaf-stream generating functions (sum and nested): "
+                      "D_5 gf support rank=32"]
 
 
 def test_composition_count_mismatch_fails_only_its_identity(monkeypatch):
