@@ -22,7 +22,19 @@ def _window(args, first):
     return range(args.start, args.to + 1)
 
 
-# Each dump is formatted into one string and written once.
+# A range dump is formatted and written _CHUNK values at a time, so its
+# memory is bounded by the chunk's strings, not by the window.
+_CHUNK = 1 << 16
+
+
+def _emit_window(window, read, fmt, out):
+    """Write (n, value) for each n in window; read(chunk) gives the values
+    at the indices of one chunk (a range)."""
+    for i in range(0, len(window), _CHUNK):
+        chunk = window[i : i + _CHUNK]
+        _emit_pairs(zip(chunk, read(chunk)), fmt, out)
+
+
 def _emit_pairs(pairs, fmt, out):
     if fmt == "plain":
         out.write("".join([f"{value}\n" for _, value in pairs]))
@@ -38,13 +50,14 @@ def _emit_table(pairs, fmt, out):
 def _cmd_seq(args, out):
     window = _window(args, 1)
     if args.which == "p":
-        values = [sequences.p(args.s, n) for n in window]
-    else:
-        # one table growth and one slice per dump, not a lookup per value
-        t = sequences.table(args.s)
-        read = t.values if args.which == "a" else t.d_values
-        values = read(args.start, args.to)
-    _emit_pairs(zip(window, values), args.format, out)
+        _emit_window(window, lambda chunk: [sequences.p(args.s, n) for n in chunk],
+                     args.format, out)
+        return 0
+    # one table growth per dump, then one slice per chunk
+    t = sequences.table(args.s)
+    t.extend_to(args.to)
+    read = t.values if args.which == "a" else t.d_values
+    _emit_window(window, lambda chunk: read(chunk[0], chunk[-1]), args.format, out)
     return 0
 
 
@@ -83,11 +96,11 @@ def _cmd_codes(args, out):
             row = [str(codes.M(n, h)) for h in heights]
             out.write("\t".join([str(n)] + row) + "\n")
     elif sub == "amax":
-        pairs = [(n, codes.a_max(n)) for n in _window(args, 2)]
-        _emit_pairs(pairs, args.format, out)
+        _emit_window(_window(args, 2), lambda chunk: map(codes.a_max, chunk),
+                     args.format, out)
     elif sub == "bseq":
-        pairs = [(n, codes.b_seq(n)) for n in _window(args, 1)]
-        _emit_pairs(pairs, args.format, out)
+        _emit_window(_window(args, 1), lambda chunk: map(codes.b_seq, chunk),
+                     args.format, out)
     return 0
 
 

@@ -9,6 +9,9 @@ M table reproduce the shift-0 and shift-1 sequences.
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
+
 from . import limits
 
 
@@ -21,12 +24,13 @@ def validate_code(levels) -> tuple:
     levels = tuple(levels)
     if len(levels) < 2:
         raise ValueError("codes need at least 2 leaves")
-    if any(l < 1 for l in levels):
+    if min(levels) < 1:
         raise ValueError("levels must be positive")
-    if any(levels[i] < levels[i + 1] for i in range(len(levels) - 1)):
+    if any(map(operator.lt, levels, levels[1:])):
         raise ValueError("levels must be non-increasing")
     h = levels[0]
-    if sum(1 << (h - l) for l in levels) != 1 << h:
+    # one term per distinct level: a code of n leaves has at most h of them
+    if sum(k << (h - l) for l, k in Counter(levels).items()) != 1 << h:
         raise ValueError("Kraft sum is not exactly 1")
     return levels
 

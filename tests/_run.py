@@ -19,8 +19,9 @@ def run_metafib(*args, **kwargs):
                           capture_output=True, text=True, **kwargs)
 
 
-def cap_child_memory():
-    """``preexec_fn`` that limits the child alone to 1 GiB of address space."""
+def cap_child_memory(limit=1 << 30):
+    """``preexec_fn`` that limits the child alone to ``limit`` bytes of
+    address space, 1 GiB unless given."""
     import resource
 
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))

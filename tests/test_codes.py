@@ -33,6 +33,22 @@ def test_validate_code():
         validate_code([1])
 
 
+def test_validate_code_names_the_first_fault():
+    # the checks run in this order, so each code fails at the first it breaks
+    cases = [
+        ([0], "at least 2 leaves"),
+        ([0, 2, 1], "levels must be positive"),  # also increasing, Kraft off
+        ([1, 2], "non-increasing"),  # also Kraft off
+        ([3, 3, 1], "Kraft sum"),
+        ([2, 2, 2, 2, 2], "Kraft sum"),
+    ]
+    for levels, message in cases:
+        with pytest.raises(ValueError, match=message):
+            validate_code(levels)
+    code = greedy_tree_unbounded(1023)
+    assert validate_code(iter(code)) == tuple(code)
+
+
 def test_level_counts_examples():
     assert level_counts((3, 3, 3, 3, 1)) == [1, 1, 2]
     assert level_counts((3, 3, 2, 2, 2)) == [1, 2, 1]

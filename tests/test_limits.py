@@ -11,15 +11,17 @@ integer option.
 
 Not swept: values exactly at a limit.  Those are accepted, and some are
 slow: `codes mtable --nmax 2049` runs for more than 60 s (one O(h) greedy
-descent per cell), and `codes amax --to 2**22 + 1` takes 21 s.
+descent per cell), and `codes amax --to 2**22 + 1` takes 21 s.  Only the
+`seq` dumps at `--to limits.OUTPUT` are run, under a far tighter cap.
 """
 
+import functools
 import os
 import subprocess
 
 import pytest
 
-from metafib import limits
+from metafib import limits, sequences
 
 from _run import cap_child_memory, run_metafib
 
@@ -99,3 +101,20 @@ def test_extreme_argument_exits_cleanly(argv, refused, timeout):
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
     else:
         assert result.returncode == 0, result.stderr
+
+
+# A range dump is written in chunks, so its memory is set by the shift table
+# (8 bytes a value) and one chunk's strings, not by the window: a `seq a`
+# dump at the limit peaks at ~60 MB of address space.  Formatted in one
+# piece, the same dump took ~550 MB (Python 3.11, x86-64 Linux).
+DUMP_CAP = 256 << 20
+
+
+@pytest.mark.parametrize("which", ["a", "p"])
+def test_seq_dump_at_the_limit_fits_a_small_address_space(which):
+    result = run_metafib("seq", which, "--s", "1", "--to", str(OUT), timeout=60,
+                         preexec_fn=functools.partial(cap_child_memory, DUMP_CAP))
+    assert result.returncode == 0, result.stderr[-500:]
+    assert result.stdout.count("\n") == OUT
+    last = getattr(sequences, which)(1, OUT)
+    assert result.stdout.endswith(f"\n{last}\n")

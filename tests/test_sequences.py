@@ -304,8 +304,27 @@ def test_descent_memo_keeps_only_starts_up_to_the_bound(fresh_memos):
     for s in range(7):
         for n in (10**6, 10**12, 10**18, top + 1, top):
             assert sq.as_descent(s, n) == sq.as_via_a0(s, n)
-    assert any(sq._descent_memo.values())
-    assert all(max(memo) <= top for memo in sq._descent_memo.values() if memo)
+    # a memo has one slot per start 0..top, so every kept start is <= top;
+    # the huge descents above still left entries in it
+    assert all(len(memo) == top + 1 for memo in sq._descent_memo.values())
+    assert any(any(memo) for memo in sq._descent_memo.values())
+
+
+def test_memos_hold_machine_integers(fresh_memos):
+    # the table holds 8-byte items and each descent memo one slot per start
+    # 0.._DESCENT_MEMO_TOP; readers still hand out ints and fresh lists
+    top = sq._DESCENT_MEMO_TOP
+    for s in range(7):
+        for n in range(1, top + 1):
+            sq.as_descent(s, n)
+        memo = sq._descent_memo[s]
+        assert len(memo) == top + 1
+        assert max(memo) == sq.as_via_a0(s, top)
+        assert max(memo) < 1 << (8 * memo.itemsize)  # fits the typecode
+    t = sq.table(5)
+    assert type(t.a(5000)) is int and type(sq.a(0, 5000)) is int
+    assert t._a.itemsize == 8
+    assert type(t.values(0, 10)) is list and type(t.d_values(1, 10)) is list
 
 
 # The step-by-step algorithms the fast evaluators replaced, kept as their
@@ -428,5 +447,6 @@ def test_as_descent_matches_the_per_step_descent_and_its_memo(fresh_memos):
     for _ in range(5000):
         s, n = rng.randrange(7), rng.randint(1, 10**18)
         assert sq.as_descent(s, n) == _descent_per_step(s, n, reference[s]), (s, n)
-    assert sq._descent_memo == reference
+    assert {s: {n: v for n, v in enumerate(memo) if v}
+            for s, memo in sq._descent_memo.items()} == reference
     assert max(max(memo) for memo in reference.values()) <= sq._DESCENT_MEMO_TOP
