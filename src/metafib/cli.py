@@ -144,8 +144,6 @@ def _cmd_oeis(args, out):
             known = ", ".join(sorted(oeis.ROLE_MAP))
             raise ValueError(f"unknown sequence id {args.id}; known: {known}")
     else:
-        if args.seq is None:
-            raise ValueError("need either --id or --seq")
         role = oeis.SequenceRole(args.seq, args.s, args.index_delta, args.value_delta)
     compared, mismatch = oeis.compare_records(oeis.read_bfile(args.bfile), role)
     if mismatch is not None:
@@ -238,8 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oeis", help="compare a b-file against local values")
     p.add_argument("--bfile", required=True)
-    p.add_argument("--id", default=None)
-    p.add_argument("--seq", choices=["a", "d", "p", "ruler"], default=None)
+    role = p.add_mutually_exclusive_group(required=True)
+    role.add_argument("--id")
+    role.add_argument("--seq", choices=["a", "d", "p", "ruler"])
     p.add_argument("--s", type=int, default=0)
     p.add_argument("--index-delta", type=int, default=0)
     p.add_argument("--value-delta", type=int, default=0)

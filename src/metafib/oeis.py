@@ -8,7 +8,7 @@ indexing with the 1-based sequences computed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import sequences
 
@@ -46,18 +46,14 @@ def write_bfile(stream, records) -> None:
         stream.write(f"{n} {value}\n")
 
 
-@dataclass(frozen=True)
-class SequenceRole:
+class SequenceRole(namedtuple("SequenceRole", "kind shift index_delta value_delta")):
     """How a catalogued sequence maps onto a local one.
 
     catalogued(n) = local(kind, shift, n + index_delta) + value_delta,
-    valid for n >= min_index.
+    valid for n >= min_index; kind is "a", "d", "p" or "ruler".
     """
 
-    kind: str          # "a", "d", "p", or "ruler"
-    shift: int
-    index_delta: int
-    value_delta: int
+    __slots__ = ()
 
     @property
     def min_index(self) -> int:

@@ -20,7 +20,8 @@ different route to the same numbers so that they can be cross-checked.
 
 Both memos hold machine integers from the stdlib ``array`` module, not
 boxed ints: a table takes 8 bytes a value, and the ``as_descent`` memo is
-one fixed array of _DESCENT_MEMO_TOP + 1 slots per shift.
+one fixed array of _DESCENT_MEMO_TOP + 1 slots per shift, allocated only by
+a descent that starts at or below that bound.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ _MEMO_TOP = 1 << 13
 # verify full's ascending 7 x 100000 as_descent sweep takes as few descent
 # steps as an unbounded memo (within 0.02%; 2^15 takes 17% more), with a
 # third fewer entries than 2^17.  Each shift's memo is one array("I") of
-# _DESCENT_MEMO_TOP + 1 slots: 256 KiB where a C unsigned int is 4 bytes,
-# against ~6 MB for the dict of boxed ints it replaced.
+# _DESCENT_MEMO_TOP + 1 slots, 256 KiB where a C unsigned int is 4 bytes;
+# only a start at or below the bound allocates it, so descents from huge n
+# alone keep no memory.
 _DESCENT_MEMO_TOP = 1 << 16
 
 
@@ -281,10 +283,10 @@ def as_descent(s: int, n: int) -> int:
     Each step maps the query to the same place in subtree h - 1 (both
     halves of subtree h start where subtree h - 1 starts), accumulating
     the leaves skipped over, and bottoms out in the small-n base values or
-    at a subtree root.  Results for starts up to _DESCENT_MEMO_TOP are
-    memoized per shift, so ascending sweeps cost O(1) a call while huge-n
-    descents leave the memo bounded; it is read once before the descent
-    and once after each step, and only at or below that bound.
+    at a subtree root.  A descent memoizes its own start, and only a start
+    up to _DESCENT_MEMO_TOP, so ascending sweeps cost O(1) a call while
+    huge-n descents write nothing; the shift's memo, if one exists, is read
+    before the descent and after each step, at nodes up to that bound.
     """
     if s < 0 or n < 1:
         raise ValueError("as_descent needs s >= 0, n >= 1")
@@ -301,11 +303,10 @@ def as_descent(s: int, n: int) -> int:
     if n <= root:
         # a path node, or the subtree root itself (internal for h >= 2)
         return 1 << (h - 1)
-    if memo is None:
-        memo = _descent_memo[s] = array("I", [0]) * (top + 1)
     start = n
+    if memo is None and start <= top:
+        memo = _descent_memo[s] = array("I", [0]) * (top + 1)
     total = 0
-    trail = []  # (node, leaves skipped before it) for the nodes passed <= top
     while True:
         half = 1 << (h - 1)
         if n < root + half:
@@ -315,7 +316,7 @@ def as_descent(s: int, n: int) -> int:
             total += half
             n -= (half << 1) + s - 1
         h -= 1
-        if n <= top:
+        if n <= top and memo is not None:
             known = memo[n]
             if known:
                 break
@@ -326,11 +327,7 @@ def as_descent(s: int, n: int) -> int:
         if n == root:
             known = half >> 1
             break
-        if n <= top:
-            trail.append((n, total))
     value = total + known
     if start <= top:
         memo[start] = value
-    for node, base in trail:
-        memo[node] = value - base
     return value

@@ -8,7 +8,7 @@ to the recurrence module, so it can serve as an independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 
 from . import limits
@@ -17,8 +17,8 @@ SUBTREE_NODE = "subtree-node"
 SUPER_NODE = "super-node"
 
 
-@dataclass(frozen=True, slots=True)
-class NodeLocus:
+class NodeLocus(namedtuple("NodeLocus", "index kind subtree offset depth_in_subtree "
+                                        "is_leaf parent_offset")):
     """Where one preorder label lives.
 
     ``subtree`` is the block index h (for a path node: the subtree it
@@ -26,13 +26,7 @@ class NodeLocus:
     subtree; it and the depth/parent fields are None for path nodes.
     """
 
-    index: int
-    kind: str
-    subtree: int
-    offset: int | None
-    depth_in_subtree: int | None
-    is_leaf: bool
-    parent_offset: int | None
+    __slots__ = ()
 
 
 def _descend(height: int, offset: int):

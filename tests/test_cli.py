@@ -8,7 +8,7 @@ from metafib import series, verify
 from metafib.cli import main
 
 from _rows import ROWS_A, ROWS_D
-from _run import cap_child_memory, run_metafib
+from _run import cap_child_memory, run_metafib, run_python
 
 
 def run_cli(capsys, *argv):
@@ -390,6 +390,27 @@ def test_oeis_unknown_id(capsys, tmp_path):
     code, _, err = run_cli(capsys, "oeis", "--bfile", str(path), "--id", "A0")
     assert code == 2
     assert "unknown sequence id" in err
+
+
+@pytest.mark.parametrize("role_args", [
+    ["--id", "A046699", "--seq", "p", "--s", "3"],  # both: --seq was ignored before
+    [],  # neither
+])
+def test_oeis_needs_exactly_one_of_id_and_seq(capsys, role_args):
+    fixture = os.path.join(os.path.dirname(__file__), "data", "bA046699.txt")
+    with pytest.raises(SystemExit) as exc:
+        main(["oeis", "--bfile", fixture, *role_args])
+    assert exc.value.code == 2
+    assert "--id" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_dataclasses_out():
+    # the two records are namedtuples, so a CLI start-up never pays for
+    # importing dataclasses (and inspect with it)
+    result = run_python("-c", "import sys, metafib.cli; "
+                        "print('dataclasses' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def test_module_entry_point():

@@ -305,9 +305,16 @@ def test_descent_memo_keeps_only_starts_up_to_the_bound(fresh_memos):
         for n in (10**6, 10**12, 10**18, top + 1, top):
             assert sq.as_descent(s, n) == sq.as_via_a0(s, n)
     # a memo has one slot per start 0..top, so every kept start is <= top;
-    # the huge descents above still left entries in it
+    # the starts above top wrote nothing, so the start top is the only entry
     assert all(len(memo) == top + 1 for memo in sq._descent_memo.values())
-    assert any(any(memo) for memo in sq._descent_memo.values())
+    kept = {s: [n for n, v in enumerate(memo) if v] for s, memo in sq._descent_memo.items()}
+    assert kept and all(starts == [top] for starts in kept.values())
+
+
+def test_huge_descents_allocate_no_memo(fresh_memos):
+    for s in range(50):
+        assert sq.as_descent(s, 10**18) == sq.as_via_a0(s, 10**18)
+    assert sq._descent_memo == {}
 
 
 def test_memos_hold_machine_integers(fresh_memos):
@@ -362,8 +369,7 @@ def _as_via_a0_per_peel(s, n):
 
 
 def _descent_per_step(s, n, memo):
-    total = 0
-    trail = []
+    start, total = n, 0
     while True:
         known = memo.get(n)
         if known is not None:
@@ -380,16 +386,14 @@ def _descent_per_step(s, n, memo):
         if n <= root:
             value = total + (1 << (h - 1))
             break
-        if n <= sq._DESCENT_MEMO_TOP:
-            trail.append((n, total))
         if n < root + (1 << (h - 1)):
             total += 1 << (h - 2)
             n -= (1 << (h - 1)) + s
         else:
             total += 1 << (h - 1)
             n -= (1 << h) + s - 1
-    for start, base in trail:
-        memo[start] = value - base
+    if n < start <= sq._DESCENT_MEMO_TOP:  # each step lowers n: a start that took one
+        memo[start] = value
     return value
 
 
@@ -435,6 +439,10 @@ def test_block_and_as_via_a0_match_the_step_by_step_routes():
         assert sq.as_via_a0(s, n) == _as_via_a0_per_peel(s, n), (s, n)
 
 
+def _kept_starts(memos):
+    return {s: {n: v for n, v in enumerate(memo) if v} for s, memo in memos.items()}
+
+
 def test_as_descent_matches_the_per_step_descent_and_its_memo(fresh_memos):
     # verify's ascending sweep, then random huge starts: same values, and
     # the memo ends with the same entries as the per-step descent's
@@ -447,6 +455,19 @@ def test_as_descent_matches_the_per_step_descent_and_its_memo(fresh_memos):
     for _ in range(5000):
         s, n = rng.randrange(7), rng.randint(1, 10**18)
         assert sq.as_descent(s, n) == _descent_per_step(s, n, reference[s]), (s, n)
-    assert {s: {n: v for n, v in enumerate(memo) if v}
-            for s, memo in sq._descent_memo.items()} == reference
+    assert _kept_starts(sq._descent_memo) == reference
     assert max(max(memo) for memo in reference.values()) <= sq._DESCENT_MEMO_TOP
+
+
+def test_as_descent_in_random_order_keeps_only_its_starts(fresh_memos):
+    # no ascending sweep first, so the memo is sparse and every huge descent
+    # that passes a node <= top finds it unknown unless that node was a start
+    top = sq._DESCENT_MEMO_TOP
+    reference = {s: {} for s in range(7)}
+    rng = random.Random(12)
+    for _ in range(20000):
+        s = rng.randrange(7)
+        n = rng.randint(1, 2 * top) if rng.random() < 0.5 else rng.randint(1, 10**18)
+        assert sq.as_descent(s, n) == _descent_per_step(s, n, reference[s]), (s, n)
+    assert _kept_starts(sq._descent_memo) == {s: m for s, m in reference.items() if m}
+    assert max(max(memo) for memo in reference.values()) <= top
