@@ -138,13 +138,18 @@ def _cmd_verify(args, out):
 
 
 def _cmd_oeis(args, out):
+    offsets = {"--s": args.s, "--index-delta": args.index_delta,
+               "--value-delta": args.value_delta}
     if args.id is not None:
+        given = [option for option, value in offsets.items() if value is not None]
+        if given:
+            raise ValueError(f"--id sets its own shift and deltas; drop {', '.join(given)}")
         role = oeis.ROLE_MAP.get(args.id)
         if role is None:
             known = ", ".join(sorted(oeis.ROLE_MAP))
             raise ValueError(f"unknown sequence id {args.id}; known: {known}")
     else:
-        role = oeis.SequenceRole(args.seq, args.s, args.index_delta, args.value_delta)
+        role = oeis.SequenceRole(args.seq, *(value or 0 for value in offsets.values()))
     compared, mismatch = oeis.compare_records(oeis.read_bfile(args.bfile), role)
     if mismatch is not None:
         n, file_value, mine = mismatch
@@ -239,9 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
     role = p.add_mutually_exclusive_group(required=True)
     role.add_argument("--id")
     role.add_argument("--seq", choices=["a", "d", "p", "ruler"])
-    p.add_argument("--s", type=int, default=0)
-    p.add_argument("--index-delta", type=int, default=0)
-    p.add_argument("--value-delta", type=int, default=0)
+    # with --seq only, where each defaults to 0
+    p.add_argument("--s", type=int)
+    p.add_argument("--index-delta", type=int)
+    p.add_argument("--value-delta", type=int)
     p.set_defaults(run=_cmd_oeis)
 
     return parser

@@ -20,8 +20,8 @@ different route to the same numbers so that they can be cross-checked.
 
 Both memos hold machine integers from the stdlib ``array`` module, not
 boxed ints: a table takes 8 bytes a value, and the ``as_descent`` memo is
-one fixed array of _DESCENT_MEMO_TOP + 1 slots per shift, allocated only by
-a descent that starts at or below that bound.
+one fixed array of _DESCENT_MEMO_TOP + 1 slots shared by every shift,
+allocated once at import.
 """
 
 from __future__ import annotations
@@ -44,10 +44,9 @@ _MEMO_TOP = 1 << 13
 # Largest start the descent memo keeps.  The smallest power of two at which
 # verify full's ascending 7 x 100000 as_descent sweep takes as few descent
 # steps as an unbounded memo (within 0.02%; 2^15 takes 17% more), with a
-# third fewer entries than 2^17.  Each shift's memo is one array("I") of
-# _DESCENT_MEMO_TOP + 1 slots, 256 KiB where a C unsigned int is 4 bytes;
-# only a start at or below the bound allocates it, so descents from huge n
-# alone keep no memory.
+# third fewer entries than 2^17.  The memo is one array("I") of
+# _DESCENT_MEMO_TOP + 1 slots for every shift together, 256 KiB where a C
+# unsigned int is 4 bytes, so its size does not grow with the shifts seen.
 _DESCENT_MEMO_TOP = 1 << 16
 
 
@@ -273,8 +272,11 @@ def as_via_a0(s: int, n: int) -> int:
     return _a0_peel(n - s * h + 1)  # a0_fast(n - s*h); that argument is >= 1
 
 
-# One array per shift, indexed by start; 0 means "not known yet" (a >= 1).
-_descent_memo: dict = {}
+# Slot n holds (s + 1) << 16 | a(s, n) for the last shift s whose descent
+# started at n; 0 means empty.  Both halves fit in 16 bits: a start n <= 2^16
+# takes a step only when n > s + 2, and a(s, n) <= 32769 there.  One item
+# store writes a slot, so no reader sees one shift's tag with another's value.
+_descent_memo = array("I", [0]) * (_DESCENT_MEMO_TOP + 1)
 
 
 def as_descent(s: int, n: int) -> int:
@@ -285,16 +287,20 @@ def as_descent(s: int, n: int) -> int:
     the leaves skipped over, and bottoms out in the small-n base values or
     at a subtree root.  A descent memoizes its own start, and only a start
     up to _DESCENT_MEMO_TOP, so ascending sweeps cost O(1) a call while
-    huge-n descents write nothing; the shift's memo, if one exists, is read
-    before the descent and after each step, at nodes up to that bound.
+    huge-n descents write nothing.  The memo is read before the descent and
+    after each step, at nodes up to that bound; a slot counts only when its
+    tag is this shift's, so every shift shares the one array.
     """
     if s < 0 or n < 1:
         raise ValueError("as_descent needs s >= 0, n >= 1")
     top = _DESCENT_MEMO_TOP
-    memo = _descent_memo.get(s)
-    if memo is not None and n <= top:
-        known = memo[n]
-        if known:
+    memo = _descent_memo
+    # a slot XOR the tag is its value when the tags match, else >= 2^16;
+    # a tag past 32 bits (s >= 2^16 - 1) matches no slot
+    tag = (s + 1) << 16
+    if n <= top:
+        known = memo[n] ^ tag
+        if known < 1 << 16:
             return known
     if n <= s + 2:
         return 1 if n <= s + 1 else 2
@@ -304,8 +310,6 @@ def as_descent(s: int, n: int) -> int:
         # a path node, or the subtree root itself (internal for h >= 2)
         return 1 << (h - 1)
     start = n
-    if memo is None and start <= top:
-        memo = _descent_memo[s] = array("I", [0]) * (top + 1)
     total = 0
     while True:
         half = 1 << (h - 1)
@@ -316,9 +320,9 @@ def as_descent(s: int, n: int) -> int:
             total += half
             n -= (half << 1) + s - 1
         h -= 1
-        if n <= top and memo is not None:
-            known = memo[n]
-            if known:
+        if n <= top:
+            known = memo[n] ^ tag
+            if known < 1 << 16:
                 break
         if h == 1:  # subtree 1 is the single leaf s + 2
             known = 2
@@ -329,5 +333,5 @@ def as_descent(s: int, n: int) -> int:
             break
     value = total + known
     if start <= top:
-        memo[start] = value
+        memo[start] = tag | value
     return value

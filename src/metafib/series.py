@@ -92,21 +92,6 @@ class TruncatedSeries:
         n = min(self.order, other.order)
         return TruncatedSeries._adopt(list(map(operator.sub, self._c, other._c)), n)
 
-    def __mul__(self, other):
-        n = min(self.order, other.order)
-        a, b = self._c, other._c
-        # iterate over the sparser factor; two-term factors cost O(n)
-        if sum(1 for c in a if c) > sum(1 for c in b if c):
-            a, b = b, a
-        out = [0] * (n + 1)
-        for i in range(min(len(a) - 1, n) + 1):
-            ci = a[i]
-            if not ci:
-                continue
-            for j in range(min(len(b) - 1, n - i) + 1):
-                out[i + j] += ci * b[j]
-        return TruncatedSeries._adopt(out, n)
-
     def shift_by_power(self, k: int) -> "TruncatedSeries":
         """Multiply by z**k (coefficients above the order fall off)."""
         if k < 0:
@@ -244,8 +229,8 @@ def gf_As(s: int, order: int) -> TruncatedSeries:
         acc = acc + prod
         n += 1
     inner = (TruncatedSeries.one(order) + acc).shift_by_power(1)
-    front = TruncatedSeries([1] * min(s, order + 1), order)  # (1 - z**s) / (1 - z)
-    return front * inner
+    # times the front factor (1 - z**s) / (1 - z)
+    return (inner - inner.shift_by_power(s)).prefix_sums()
 
 
 def gf_A_from_D(s: int, order: int) -> TruncatedSeries:

@@ -404,6 +404,28 @@ def test_oeis_needs_exactly_one_of_id_and_seq(capsys, role_args):
     assert "--id" in capsys.readouterr().err
 
 
+def test_oeis_id_refuses_the_seq_offsets(capsys):
+    # --id fixes the shift and both deltas; they used to be ignored silently
+    fixture = os.path.join(os.path.dirname(__file__), "data", "bA046699.txt")
+    code, out, err = run_cli(capsys, "oeis", "--bfile", fixture, "--id", "A046699",
+                             "--s", "3", "--index-delta", "5", "--value-delta", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--s, --index-delta, --value-delta" in err
+    code, _, err = run_cli(capsys, "oeis", "--bfile", fixture, "--id", "A046699",
+                           "--value-delta", "7")
+    assert code == 2 and "--value-delta" in err and "--s" not in err
+
+
+def test_oeis_seq_offsets_default_to_zero(capsys, tmp_path):
+    path = tmp_path / "b.txt"
+    path.write_text("0 1\n1 1\n2 1\n3 2\n")  # a(1, 0..3); a(0, 2) is 2
+    code, out, _ = run_cli(capsys, "oeis", "--bfile", str(path), "--seq", "a", "--s", "1")
+    assert (code, out) == (0, "OK: compared 4 values\n")
+    code, out, _ = run_cli(capsys, "oeis", "--bfile", str(path), "--seq", "a")
+    assert code == 1 and out.startswith("MISMATCH at n=2")
+
+
 def test_cli_import_leaves_dataclasses_out():
     # the two records are namedtuples, so a CLI start-up never pays for
     # importing dataclasses (and inspect with it)

