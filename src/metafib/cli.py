@@ -39,12 +39,8 @@ def _emit_pairs(pairs, fmt, out):
     if fmt == "plain":
         out.write("".join([f"{value}\n" for _, value in pairs]))
     else:  # tsv or bfile
-        _emit_table(pairs, fmt, out)
-
-
-def _emit_table(pairs, fmt, out):
-    sep = "\t" if fmt == "tsv" else " "
-    out.write("".join([f"{n}{sep}{value}\n" for n, value in pairs]))
+        sep = "\t" if fmt == "tsv" else " "
+        out.write("".join([f"{n}{sep}{value}\n" for n, value in pairs]))
 
 
 def _cmd_seq(args, out):
@@ -72,7 +68,7 @@ def _cmd_gf(args, out):
         gf = series.gf_Ps(args.s, args.order)
     else:  # A: the quotient form serves every s; verify checks it against gf_As
         gf = series.gf_A_from_D(args.s, args.order)
-    _emit_table(enumerate(gf.coeffs), args.format, out)
+    _emit_pairs(enumerate(gf.coeffs), args.format, out)
     return 0
 
 
@@ -183,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=["ruler", "D", "A", "P"])
     p.add_argument("--s", type=int, default=0)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--format", **fmt)
+    p.add_argument("--format", choices=["bfile", "tsv"], default="bfile")
     p.set_defaults(run=_cmd_gf)
 
     p = sub.add_parser("codes", help="compact-code constructions and tables")

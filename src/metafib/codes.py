@@ -29,6 +29,8 @@ def validate_code(levels) -> tuple:
     if any(map(operator.lt, levels, levels[1:])):
         raise ValueError("levels must be non-increasing")
     h = levels[0]
+    if h >= len(levels):  # n leaves reach height n - 1 at most; 2**h is not built
+        raise ValueError("Kraft sum is not exactly 1")
     # one term per distinct level: a code of n leaves has at most h of them
     if sum(k << (h - l) for l, k in Counter(levels).items()) != 1 << h:
         raise ValueError("Kraft sum is not exactly 1")
@@ -130,13 +132,13 @@ def _greedy_leaves(n: int, h: int) -> list:
     leaves = [0] * (h + 1)
     m, d = n, 0
     while m > 1:
-        half = 1 << (h - d - 1)
-        if m - 1 <= half:
+        k = h - d - 1  # a child's subtree holds 2**k leaves at the bottom
+        if (m - 2).bit_length() <= k:  # m - 1 <= 2**k, without building 2**k
             leaves[d + 1] += 1
             m -= 1
         else:
-            leaves[h] += half
-            m -= half
+            leaves[h] += 1 << k
+            m -= 1 << k
         d += 1
     leaves[d] += 1
     return leaves
@@ -205,8 +207,9 @@ def M(n: int, h: int) -> int:
         raise ValueError("codes need n >= 2")
     if h < 1:
         raise ValueError("height must be >= 1")
-    if n > 1 << h or n < h + 1:
+    if h >= n or h < _ceil_lg(n):  # n < h + 1, or n > 2**h by bit length
         return 0
+    limits.check("M height h", h, "OUTPUT")  # _greedy_leaves builds h + 1 counts
     return _greedy_leaves(n, h)[h] // 2
 
 

@@ -25,6 +25,7 @@ def part_choices(s: int, i: int) -> tuple:
     if i == 0:
         limits.check("part_choices first parts s", s, "OUTPUT")
         return tuple(range(1, s + 1))
+    limits.check("part_choices position i", i, "OUTPUT")  # before 2**i is built
     return (s, (1 << i) + s - 1)
 
 

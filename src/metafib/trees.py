@@ -30,31 +30,33 @@ class NodeLocus(namedtuple("NodeLocus", "index kind subtree offset depth_in_subt
 
 
 def _descend(height: int, offset: int):
-    """(depth, is_leaf, parent_offset) for a preorder offset in a complete tree.
+    """(depth, is_leaf, parent_offset, leaves) for a preorder offset in a
+    complete tree; leaves counts the leaves at offsets 1..offset.
 
     The tree has 2**height - 1 nodes; offset 1 is the root, followed by the
     left then the right subtree, each of size 2**(height-1) - 1.  Each step
-    goes one level down, so the depth is height - g at the end.
+    goes one level down to a subtree of height g, so the depth is height - g
+    at the end.  A step right passes the whole left subtree and its
+    2**(g-1) leaves; the parent is 1 label before a left child and 2**g
+    labels before a right one.
     """
     g = height
-    root = 1  # absolute offset of current subtree's root
-    parent = None
     pos = offset
+    step = leaves = 0
     while pos != 1:
-        parent = root
-        half = 1 << (g - 1)  # the right subtree starts half labels after the root
         g -= 1
-        if pos <= half:
-            pos -= 1
-            root += 1
+        step = 1 << g  # the right subtree starts 2**g labels after the root
+        if pos <= step:
+            step = 1
         else:
-            pos -= half
-            root += half
-    return height - g, g == 1, parent
+            leaves += step >> 1
+        pos -= step
+    leaf = g == 1
+    return height - g, leaf, offset - step if step else None, leaves + leaf
 
 
-def _subtree_of(s: int, n: int) -> int:
-    """Index h >= 1 of the block that holds label n >= 2.
+def _subtree_of(s: int, n: int) -> tuple:
+    """(h, offset): block h >= 1 holding label n, and n's offset in subtree h.
 
     Block h is the s path labels before subtree h and the subtree itself;
     it ends at label 2**(h+1) + (s-1)h - 1, and h is the first index whose
@@ -62,14 +64,15 @@ def _subtree_of(s: int, n: int) -> int:
     ends grow with h, so step down while the previous block still reaches
     n (only for s >= 2; a second step needs 2**(h-1) < (s-1)h, so there
     are O(log s) steps), then up while this one falls short (only for
-    s = 0, and at most once).
+    s = 0, and at most once).  The offset n - 2**h - (s-1)h is 1-based,
+    and at most 0 for a path label or for n = 1, which precede subtree h.
     """
     h = max(1, n.bit_length() - 1)
     while h > 1 and (1 << h) + (s - 1) * (h - 1) - 1 >= n:
         h -= 1
     while (1 << (h + 1)) + (s - 1) * h - 1 < n:
         h += 1
-    return h
+    return h, n - (1 << h) - (s - 1) * h
 
 
 def locate(s: int, n: int) -> NodeLocus:
@@ -78,12 +81,10 @@ def locate(s: int, n: int) -> NodeLocus:
         raise ValueError("locate needs s >= 0, n >= 1")
     if n == 1:
         return NodeLocus(n, SUBTREE_NODE, 0, 1, 0, True, None)
-    h = _subtree_of(s, n)
-    base = (1 << h) + (s - 1) * h
-    if n <= base:
+    h, offset = _subtree_of(s, n)
+    if offset <= 0:
         return NodeLocus(n, SUPER_NODE, h, None, None, False, None)
-    offset = n - base
-    depth, leaf, parent = _descend(h, offset)
+    depth, leaf, parent, _ = _descend(h, offset)
     return NodeLocus(n, SUBTREE_NODE, h, offset, depth, leaf, parent)
 
 
@@ -94,37 +95,21 @@ def is_leaf_oracle(s: int, n: int) -> int:
         raise ValueError("is_leaf_oracle needs s >= 0, n >= 1")
     if n == 1:
         return 1
-    h = _subtree_of(s, n)
-    offset = n - (1 << h) - (s - 1) * h
+    h, offset = _subtree_of(s, n)
     return 1 if offset > 0 and _descend(h, offset)[1] else 0
 
 
 def leaves_in_prefix(s: int, n: int) -> int:
     """Leaves among labels 1..n, counted structurally in O(log n).
 
-    The one-node tree, then per block h its s path labels and, while the
-    block fits, its 2**(h-1) leaves; the block that n cuts off contributes
-    the leaves among the first labels of one complete subtree.
+    The one-node tree and the complete subtrees 1..h-1 before block h hold
+    2**(h-1) leaves; the descent to n adds those among its first labels of
+    subtree h.
     """
     if s < 0 or n < 1:
         raise ValueError("leaves_in_prefix needs s >= 0, n >= 1")
-    leaves, rest, h = 1, n - 1, 1
-    while rest > s + (1 << h) - 1:
-        leaves += 1 << (h - 1)
-        rest -= s + (1 << h) - 1
-        h += 1
-    rest -= s  # labels taken inside subtree h; negative while on the path
-    while rest > 0:
-        # subtree of height h: root, then left and right halves of 2**(h-1) - 1
-        if h == 1:
-            return leaves + 1
-        half = (1 << (h - 1)) - 1
-        rest -= 1
-        if rest > half:
-            leaves += 1 << (h - 2)
-            rest -= half
-        h -= 1
-    return leaves
+    h, offset = _subtree_of(s, n)
+    return (1 << (h - 1)) + (_descend(h, offset)[3] if offset > 0 else 0)
 
 
 def leaf_count_scan(s: int, n_max: int) -> list:

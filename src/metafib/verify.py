@@ -41,18 +41,16 @@ def _agree(got, want, detail):
 def _bounds(depth: str) -> dict:
     if depth == "quick":
         return {
-            "shift_max": 3, "n_seq": 2000, "n_eval": 5000, "n_tree": 2000,
-            "order": 256, "order_nested": 128,
-            "word_bits": 1 << 10, "morphism_bits": 1 << 12, "word_idx": 10,
+            "shift_max": 3, "n_seq": 2000, "n_eval": 5000, "order": 256,
+            "word_bits": 1 << 10, "word_idx": 10,
             "comp_n": 300, "comp_enum": 20, "codes_n": 9, "dom_n": 9,
             "bridge_n": 512, "stable_n": 60, "chain_n": 1 << 7,
             "counts_h": 6, "partition_h": 4, "double_h": 8,
         }
     if depth == "full":
         return {
-            "shift_max": 6, "n_seq": 20000, "n_eval": 100000, "n_tree": 20000,
-            "order": 4096, "order_nested": 2048,
-            "word_bits": 1 << 14, "morphism_bits": 1 << 16, "word_idx": 16,
+            "shift_max": 6, "n_seq": 20000, "n_eval": 100000, "order": 4096,
+            "word_bits": 1 << 14, "word_idx": 16,
             "comp_n": 2000, "comp_enum": 30, "codes_n": 14, "dom_n": 12,
             "bridge_n": 4096, "stable_n": 200, "chain_n": 1 << 10,
             "counts_h": 8, "partition_h": 6, "double_h": 14,
@@ -84,7 +82,7 @@ def _check_evaluators(b):
 
 
 def _check_tree_flags(b):
-    top = b["n_tree"]
+    top = b["n_seq"]
     for s in range(b["shift_max"] + 1):
         _agree([trees.is_leaf_oracle(s, n) for n in range(1, top + 1)],
                sequences.table(s).d_values(1, top),
@@ -93,8 +91,8 @@ def _check_tree_flags(b):
 
 def _check_tree_counts(b):
     for s in range(b["shift_max"] + 1):
-        vals = sequences.table(s).values(0, b["n_tree"])
-        scan = trees.leaf_count_scan(s, b["n_tree"])
+        vals = sequences.table(s).values(0, b["n_seq"])
+        scan = trees.leaf_count_scan(s, b["n_seq"])
         _agree(scan[1:], vals[1:], lambda i: f"prefix leaf counts s={s} n={i+1}")
 
 
@@ -155,7 +153,7 @@ def _check_ruler_factorization(b):
 
 
 def _check_morphism(b):
-    bits = b["morphism_bits"]
+    bits = 4 * b["word_bits"]
     _need(
         words.morphism_fixed_point(bits) == words.dword_prefix(0, bits),
         "morphism prefix differs from block concatenation",
@@ -188,11 +186,8 @@ def _check_d_gf(b):
         ds = series.gf_Ds_sum(s, order)
         _agree(map(ds.coefficient, orders), sequences.table(s).d_values(1, order),
                lambda i: f"d gf s={s} n={i+1}")
-        nested = series.gf_Ds_nested(s, b["order_nested"])
-        _need(
-            nested == series.gf_Ds_sum(s, b["order_nested"]),
-            f"nested form s={s}",
-        )
+        _need(series.gf_Ds_nested(s, order // 2) == series.gf_Ds_sum(s, order // 2),
+              f"nested form s={s}")
     _agree(series.gf_D0(order).coeffs, series.gf_Ds_sum(0, order).coeffs,
            lambda i: f"product form D0 at z^{i}")
     for n in range(b["word_idx"] + 1):

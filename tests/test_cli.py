@@ -96,7 +96,7 @@ def test_gf_a_serves_the_quotient_form_for_every_shift(capsys):
             quo = series.gf_A_from_D(s, order)
             if s >= 1:
                 assert series.gf_As(s, order) == quo, (s, order)
-            for fmt, sep in (("plain", " "), ("tsv", "\t"), ("bfile", " ")):
+            for fmt, sep in (("tsv", "\t"), ("bfile", " ")):
                 code, out, err = run_cli(capsys, "gf", "A", "--s", str(s),
                                          "--order", str(order), "--format", fmt)
                 assert (code, err) == (0, ""), (s, order, fmt)
@@ -104,6 +104,16 @@ def test_gf_a_serves_the_quotient_form_for_every_shift(capsys):
     code, _, err = _run_main(["gf", "A", "--s", "1", "--order", "10",
                               "--method", "product"], capsys)
     assert code == 2 and "--method" in err
+
+
+def test_gf_formats_are_bfile_by_default_and_tsv(capsys):
+    for which in ("ruler", "D", "A", "P"):
+        argv = ["gf", which, "--s", "2", "--order", "40"]
+        default = run_cli(capsys, *argv)
+        assert default == run_cli(capsys, *argv, "--format", "bfile"), which
+        assert default[0] == 0 and default[1].startswith("0 "), which
+    code, out, err = _run_main(["gf", "ruler", "--order", "8", "--format", "plain"], capsys)
+    assert (code, out) == (2, "") and "--format" in err
 
 
 def test_gf_order_guard(capsys):

@@ -49,6 +49,18 @@ def test_validate_code_names_the_first_fault():
     assert validate_code(iter(code)) == tuple(code)
 
 
+def test_validate_code_refuses_a_code_taller_than_its_leaves_allow():
+    # n leaves reach height n - 1 at most, so 2**h is never built for these
+    for levels in ((10**18, 10**18), (3, 3, 3), (2**22, 1)):
+        with pytest.raises(ValueError, match="Kraft sum"):
+            validate_code(levels)
+        with pytest.raises(ValueError, match="Kraft sum"):
+            level_counts(levels)
+    with pytest.raises(ValueError, match="Kraft sum"):
+        shrink((10**18, 10**18, 10**18))
+    assert validate_code((2, 2, 1)) == (2, 2, 1)  # h = n - 1 still passes
+
+
 def test_level_counts_examples():
     assert level_counts((3, 3, 3, 3, 1)) == [1, 1, 2]
     assert level_counts((3, 3, 2, 2, 2)) == [1, 2, 1]
@@ -251,6 +263,19 @@ def test_huge_n_is_bounded():
         assert M(n, 60) == sq.a0_fast(n - 60), n
     assert M(2**60, 60) == 2**59
     assert time.monotonic() - started < 1.0
+
+
+def test_M_answers_empty_cells_and_refuses_huge_heights_by_name():
+    from metafib.limits import OUTPUT
+
+    # empty cells answer 0 without building 2**h or h + 1 counts
+    assert M(5, 10**18) == 0  # n < h + 1
+    assert M(10**18, 5) == 0  # n > 2**h
+    assert M(2**60, 60) == 2**59 and M(2**60 + 1, 60) == 0
+    named = rf"<= {OUTPUT} \(limits.OUTPUT\)"
+    for n, h in ((OUTPUT + 2, OUTPUT + 1), (10**18, 10**17)):
+        with pytest.raises(ValueError, match=named):
+            M(n, h)
 
 
 def test_height_stability():

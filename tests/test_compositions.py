@@ -22,6 +22,15 @@ def test_part_choices():
         part_choices(0, 0)
 
 
+def test_part_choices_refuses_huge_positions_by_name():
+    from metafib.limits import OUTPUT
+
+    assert part_choices(1, OUTPUT)[1] == 1 << OUTPUT
+    for i in (OUTPUT + 1, 10**18):  # 2**i is never built
+        with pytest.raises(ValueError, match=rf"<= {OUTPUT} \(limits.OUTPUT\)"):
+            part_choices(1, i)
+
+
 def test_counts_are_guarded_before_allocating():
     from metafib.limits import COUNT
 

@@ -158,7 +158,7 @@ def _locus_in_block(s, n, h):
     if n <= base:
         return trees.NodeLocus(n, trees.SUPER_NODE, h, None, None, False, None)
     offset = n - base
-    depth, leaf, parent = trees._descend(h, offset)
+    depth, leaf, parent, _ = trees._descend(h, offset)
     return trees.NodeLocus(n, trees.SUBTREE_NODE, h, offset, depth, leaf, parent)
 
 
