@@ -14,7 +14,6 @@ from .sequences import (
     is_power_of_two,
     p,
     ruler,
-    table,
 )
 from .trees import NodeLocus, is_leaf_oracle, leaves_in_prefix, locate, render
 from .words import (

@@ -49,9 +49,7 @@ def _cmd_seq(args, out):
         _emit_window(window, lambda chunk: [sequences.p(args.s, n) for n in chunk],
                      args.format, out)
         return 0
-    # one table growth per dump, then one slice per chunk
     t = sequences.table(args.s)
-    t.extend_to(args.to)
     read = t.values if args.which == "a" else t.d_values
     _emit_window(window, lambda chunk: read(chunk[0], chunk[-1]), args.format, out)
     return 0
@@ -59,15 +57,17 @@ def _cmd_seq(args, out):
 
 def _cmd_gf(args, out):
     limits.check("gf --order", args.order, "GF_ORDER")
-    which = args.which
+    which, s = args.which, args.s or 0
     if which == "ruler":
+        if args.s is not None:
+            raise ValueError("the ruler takes no shift; drop --s")
         gf = series.gf_ruler(args.order)
     elif which == "D":
-        gf = series.gf_Ds_sum(args.s, args.order)
+        gf = series.gf_Ds_sum(s, args.order)
     elif which == "P":
-        gf = series.gf_Ps(args.s, args.order)
+        gf = series.gf_Ps(s, args.order)
     else:  # A: the quotient form serves every s; verify checks it against gf_As
-        gf = series.gf_A_from_D(args.s, args.order)
+        gf = series.gf_A_from_D(s, args.order)
     _emit_pairs(enumerate(gf.coeffs), args.format, out)
     return 0
 
@@ -145,6 +145,8 @@ def _cmd_oeis(args, out):
             known = ", ".join(sorted(oeis.ROLE_MAP))
             raise ValueError(f"unknown sequence id {args.id}; known: {known}")
     else:
+        if args.seq == "ruler" and args.s is not None:
+            raise ValueError("the ruler takes no shift; drop --s")
         role = oeis.SequenceRole(args.seq, *(value or 0 for value in offsets.values()))
     compared, mismatch = oeis.compare_records(oeis.read_bfile(args.bfile), role)
     if mismatch is not None:
@@ -177,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gf", help="emit generating-function coefficients")
     p.add_argument("which", choices=["ruler", "D", "A", "P"])
-    p.add_argument("--s", type=int, default=0)
+    p.add_argument("--s", type=int)  # D, A and P only, where it defaults to 0
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--format", choices=["bfile", "tsv"], default="bfile")
     p.set_defaults(run=_cmd_gf)

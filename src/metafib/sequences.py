@@ -11,12 +11,13 @@ preorder labels.  Three sequences describe it:
 ``a`` satisfies a nested recurrence (its own values feed back into its
 indices).  One engine, ``SequenceTable``, grows it for each shift s;
 ``d`` is a difference of ``a`` and ``p`` has a closed form.  The public
-``a`` reads the shared tables only through index ``_MEMO_TOP`` and answers
-from the closed forms above it, so no point query grows a table past that
-bound; the public ``d`` is the leaf test p(s, a(s, n)) == n at every n and
-reads no table.  ``SequenceTable`` itself is uncapped and stays the
-oracle.  Everything else in this module is a faster or structurally
-different route to the same numbers so that they can be cross-checked.
+``a`` reads the shared tables only for s + 1 < n <= ``_MEMO_TOP``, so no
+point query grows a table past that bound or builds one for the s + 1 base
+values; elsewhere it answers in closed form.  The public ``d`` is the leaf
+test p(s, a(s, n)) == n at every n and reads no table.  ``SequenceTable``
+itself is uncapped and stays the oracle.  Everything else in this module is
+a faster or structurally different route to the same numbers so that they
+can be cross-checked.
 
 Both memos hold machine integers from the stdlib ``array`` module, not
 boxed ints: a table takes 8 bytes a value, and the ``as_descent`` memo is
@@ -32,13 +33,14 @@ from array import array
 
 from . import limits
 
-# Largest index the public a answers from the shared tables; above it, a
-# uses the O(log n) closed forms, which cost less than growing a table.  The
-# public d reads no table at any n: its leaf test costs less than a table
-# read (200k calls at n <= 2^13: ~0.2 s against ~0.5 s, 2-core host).  The
-# smallest power of two that keeps a(2, 5000) on the table path, which the
-# perfbench tracer test follows.  On perfbench point-queries (2-core host)
-# the median wall_s was 0.23 s here, 0.30 s at 2^15 and 0.55 s at 2^17.
+# The public a reads the shared tables only for s + 1 < n <= _MEMO_TOP; at
+# the s + 1 base values and above the bound it uses the O(log n) closed
+# forms, which cost less than growing a table.  The public d reads no table
+# at any n: its leaf test costs less than a table read (200k calls at
+# n <= 2^13: ~0.2 s against ~0.5 s, 2-core host).  The smallest power of two
+# that keeps a(2, 5000) on the table path, which the perfbench tracer test
+# follows.  On perfbench point-queries (2-core host) the median wall_s was
+# 0.23 s here, 0.30 s at 2^15 and 0.55 s at 2^17.
 _MEMO_TOP = 1 << 13
 
 # Largest start the descent memo keeps.  The smallest power of two at which
@@ -147,8 +149,8 @@ def table(s: int) -> SequenceTable:
 
 
 def a(s: int, n: int) -> int:
-    """a(s, n): from the shared table through _MEMO_TOP, in closed form above."""
-    if n <= _MEMO_TOP:
+    """a(s, n): a shared table for s + 1 < n <= _MEMO_TOP, a closed form elsewhere."""
+    if s + 1 < n <= _MEMO_TOP:
         return table(s).a(n)
     return as_via_a0(s, n)
 
@@ -262,8 +264,8 @@ def as_via_a0(s: int, n: int) -> int:
     Inside subtree h the label exceeds its shift-0 twin by s*h; on the
     path between subtrees h-1 and h the answer is 2**(h-1) outright.
     """
-    if s < 0 or n < 1:
-        raise ValueError("as_via_a0 needs s >= 0, n >= 1")
+    if s < 0 or n < 0:
+        raise ValueError("as_via_a0 needs s >= 0, n >= 0")
     if n <= s + 1:
         return 1
     h = _block(s, n)

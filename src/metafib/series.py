@@ -20,12 +20,8 @@ class TruncatedSeries:
 
     __slots__ = ("order", "_c")
 
-    def __init__(self, coeffs, order=None):
+    def __init__(self, coeffs, order: int):
         coeffs = list(coeffs)
-        if order is None:
-            if not coeffs:
-                raise ValueError("need coefficients or an explicit order")
-            order = len(coeffs) - 1
         if order < 0:
             raise ValueError("order must be >= 0")
         limits.check("series order", order, "OUTPUT")

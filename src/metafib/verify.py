@@ -290,8 +290,7 @@ def _check_height_stability(b):
 def _check_kraft(b):
     for n in range(2, b["codes_n"] + 1):
         for h in range(codes._ceil_lg(n), n):
-            if h + 1 <= n <= 1 << h:
-                codes.validate_code(codes.greedy_tree(n, h))
+            codes.validate_code(codes.greedy_tree(n, h))
     for n in range(2, b["chain_n"] + 1):
         codes.validate_code(codes.greedy_tree_unbounded(n))
 

@@ -108,12 +108,19 @@ def test_gf_a_serves_the_quotient_form_for_every_shift(capsys):
 
 def test_gf_formats_are_bfile_by_default_and_tsv(capsys):
     for which in ("ruler", "D", "A", "P"):
-        argv = ["gf", which, "--s", "2", "--order", "40"]
+        shift = [] if which == "ruler" else ["--s", "2"]  # the ruler takes none
+        argv = ["gf", which, *shift, "--order", "40"]
         default = run_cli(capsys, *argv)
         assert default == run_cli(capsys, *argv, "--format", "bfile"), which
         assert default[0] == 0 and default[1].startswith("0 "), which
     code, out, err = _run_main(["gf", "ruler", "--order", "8", "--format", "plain"], capsys)
     assert (code, out) == (2, "") and "--format" in err
+
+
+def test_gf_ruler_refuses_a_shift(capsys):
+    code, out, err = run_cli(capsys, "gf", "ruler", "--s", "-3", "--order", "6")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--s" in err
 
 
 def test_gf_order_guard(capsys):
@@ -255,20 +262,25 @@ def test_range_dump_at_the_guard_is_allowed(capsys, monkeypatch):
     assert code == 2 and "asked for 10" in err
 
 
-BA006949 = os.path.join(os.path.dirname(__file__), "data", "bA006949.txt")
-
-
 @pytest.mark.parametrize("argv", [
     ["seq", "a", "--s", str(10**18), "--to", "5"],
     ["seq", "d", "--s", str(10**18), "--to", "5"],
-    ["oeis", "--bfile", BA006949, "--seq", "a", "--s", str(10**18)],
     ["compositions", "--s", str(10**18), "--n", "5"],
-], ids=["seq-a", "seq-d", "oeis", "compositions"])
+], ids=["seq-a", "seq-d", "compositions"])
 def test_huge_shift_is_refused_by_name(capsys, argv):
     # each would first list s values: the shift table's seed or the first parts
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and f"<= {2**22} (limits.OUTPUT)" in err
+
+
+def test_oeis_huge_shift_compares_the_base_values(capsys, tmp_path):
+    # a(s, n) = 1 for n <= s + 1, answered without the shift table's seed
+    path = tmp_path / "b.txt"
+    path.write_text("".join(f"{n} 1\n" for n in range(6)))
+    code, out, _ = run_cli(capsys, "oeis", "--bfile", str(path), "--seq", "a",
+                           "--s", str(10**18))
+    assert (code, out) == (0, "OK: compared 6 values\n")
 
 
 def test_huge_shift_stream_prints_the_prefix(capsys):
@@ -286,6 +298,8 @@ def test_word_and_tree_smoke(capsys):
     assert out == "10010001\n"
     code, out, _ = run_cli(capsys, "word", "d", "--n", "2")
     assert out == "0011011\n"
+    code, out, _ = run_cli(capsys, "word", "e", "--n", "2")
+    assert (code, out) == (0, "1101100\n")
     code, out, _ = run_cli(capsys, "tree", "--s", "2", "--n", "9")
     assert code == 0
     assert "(path)" in out
@@ -425,6 +439,14 @@ def test_oeis_id_refuses_the_seq_offsets(capsys):
     code, _, err = run_cli(capsys, "oeis", "--bfile", fixture, "--id", "A046699",
                            "--value-delta", "7")
     assert code == 2 and "--value-delta" in err and "--s" not in err
+
+
+def test_oeis_seq_ruler_refuses_a_shift(capsys):
+    fixture = os.path.join(os.path.dirname(__file__), "data", "bA001511.txt")
+    code, out, err = run_cli(capsys, "oeis", "--bfile", fixture, "--seq", "ruler",
+                             "--s", "-3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--s" in err
 
 
 def test_oeis_seq_offsets_default_to_zero(capsys, tmp_path):

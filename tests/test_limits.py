@@ -59,13 +59,13 @@ SWEEP = [
     (["tree", "--n", "5"], "--s", None, None),
     (["tree"], "--n", limits.RENDER, "RENDER"),
     (["tree", "--n", "5"], "--max-width", None, None),
-    (["oeis", "--bfile", BFILE, "--seq", "a"], "--s", OUT - 3, "OUTPUT"),
+    (["oeis", "--bfile", BFILE, "--seq", "a"], "--s", None, None),
     (["oeis", "--bfile", BFILE, "--seq", "a", "--s", "1"], "--index-delta", None, None),
     (["oeis", "--bfile", BFILE, "--seq", "a", "--s", "1"], "--value-delta", None, None),
 ]
 
 # A seq a|d window at or above 10**12 still grows the shift table up to its
-# last index (ROADMAP item 2), so at 10**18 it runs until it is stopped.
+# last index (ROADMAP item 3), so at 10**18 it runs until it is stopped.
 TABLE_WINDOW = pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
                                  reason="seq a|d windows grow the table to --to")
 

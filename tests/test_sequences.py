@@ -222,12 +222,14 @@ def test_shift_table_matches_the_tree_scan():
 
 
 def test_shift_table_seed_is_guarded(fresh_memos):
-    # the shift-s table seeds s + 3 values, so a huge s is refused before seeding
+    # the shift-s table seeds s + 3 values, so a huge s is refused before seeding;
+    # the public a answers the base values n <= s + 1 without a table
     named = rf"seed values s \+ 3 <= {limits.OUTPUT} \(limits.OUTPUT\)"
     for s in (limits.OUTPUT - 2, 10**18):
-        for call in (sq.SequenceTable, sq.table, lambda s: sq.a(s, 5)):
+        for call in (sq.SequenceTable, sq.table):
             with pytest.raises(ValueError, match=named):
                 call(s)
+        assert sq.a(s, 5) == 1
     assert sq._tables == {}
     assert sq.d(10**18, 1) == 1 and sq.d(10**18, 2) == 0  # the leaf test needs no table
 
@@ -297,6 +299,17 @@ def test_point_queries_keep_the_tables_bounded(fresh_memos):
         sq.a(s, 10**6)
         sq.d(s, 10**6)
         assert len(sq.table(s)._a) <= TOP + 1
+
+
+def test_a_answers_the_base_values_without_a_table(fresh_memos):
+    assert sq.a(2**23, 5) == 1
+    assert sq.a(10**18, 0) == 1
+    for k in range(20):
+        assert sq.a(4 * 10**6 + k, 1) == 1
+    assert sq._tables == {}
+    for s, n in ((-1, 0), (-1, 5), (-1, 10**18), (0, -1), (10**18, -1)):
+        with pytest.raises(ValueError):
+            sq.a(s, n)
 
 
 def test_d_reads_no_table(fresh_memos):

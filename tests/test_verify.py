@@ -85,6 +85,19 @@ def test_composition_count_mismatch_fails_only_its_identity(monkeypatch):
                       "composition counts s=1 n=150"]
 
 
+def test_a_crashed_check_fails_only_its_identity(monkeypatch):
+    # an exception other than IdentityFailure is reported, not raised
+    def boom(s, n):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(sequences, "as_descent", boom)
+    ok, lines = run_quick()
+    assert not ok
+    failed = [line for line in lines if not line.startswith("PASS")]
+    assert failed == ["FAIL  closed-form evaluators match the recurrence: "
+                      "crashed: ZeroDivisionError('boom')"]
+
+
 def test_agree_reports_the_first_mismatch_and_a_length_mismatch():
     verify._agree([1, 2], iter([1, 2]), str)
     with pytest.raises(verify.IdentityFailure, match="^missing index 2$"):
