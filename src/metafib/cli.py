@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from itertools import repeat
 
 from . import codes, compositions, limits, oeis, sequences, series, trees, verify, words
 
@@ -32,21 +33,26 @@ def _emit_window(window, read, fmt, out):
     at the indices of one chunk (a range)."""
     for i in range(0, len(window), _CHUNK):
         chunk = window[i : i + _CHUNK]
-        _emit_pairs(zip(chunk, read(chunk)), fmt, out)
+        _emit_pairs(chunk, list(read(chunk)), fmt, out)
 
 
-def _emit_pairs(pairs, fmt, out):
+def _emit_pairs(indices, values, fmt, out):
+    """Write one chunk with one printf-style pass over a repeated template."""
+    k = len(values)
     if fmt == "plain":
-        out.write("".join([f"{value}\n" for _, value in pairs]))
-    else:  # tsv or bfile
+        out.write(("%d\n" * k) % tuple(values))
+    else:  # tsv or bfile: indices and values interleaved
+        flat = [0] * (2 * k)
+        flat[::2] = indices
+        flat[1::2] = values
         sep = "\t" if fmt == "tsv" else " "
-        out.write("".join([f"{n}{sep}{value}\n" for n, value in pairs]))
+        out.write((f"%d{sep}%d\n" * k) % tuple(flat))
 
 
 def _cmd_seq(args, out):
     window = _window(args, 1)
     if args.which == "p":
-        _emit_window(window, lambda chunk: [sequences.p(args.s, n) for n in chunk],
+        _emit_window(window, lambda chunk: map(sequences.p, repeat(args.s), chunk),
                      args.format, out)
         return 0
     t = sequences.table(args.s)
@@ -68,7 +74,9 @@ def _cmd_gf(args, out):
         gf = series.gf_Ps(s, args.order)
     else:  # A: the quotient form serves every s; verify checks it against gf_As
         gf = series.gf_A_from_D(s, args.order)
-    _emit_pairs(enumerate(gf.coeffs), args.format, out)
+    coeffs = gf.coeffs  # a copy: read it once
+    _emit_window(range(args.order + 1), lambda chunk: coeffs[chunk.start : chunk.stop],
+                 args.format, out)
     return 0
 
 

@@ -8,9 +8,10 @@ N > OUTPUT itself; ``cli`` checks only its windows, ``mtable`` cells and
 # word or leaf stream, a greedy code, a series' order (order + 1
 # coefficients), a shift table's s + 3 seed values, a first part's s
 # choices, a part's position i (2**i + s - 1) or M's height h (h + 1 level
-# counts).  A `seq a --s 1` dump at the limit takes 2.8 s and 55 MB peak
-# RSS, written in chunks of 2**16 values, and M(2**22 + 1, 2**22) 1.4 s and
-# 46 MB; D_n and E_n (2**(n+1) - 1 characters) stop at n = 21.
+# counts).  At the limit a `seq a --s 1` dump takes 2.3 s and 51 MB peak
+# RSS, written in chunks of 2**16 values, `word runs --terms 2097151`
+# (2**22 - 23 characters) 0.6 s and 52 MB, and M(2**22 + 1, 2**22) 1.4 s
+# and 46 MB; D_n and E_n (2**(n+1) - 1 characters) stop at n = 21.
 OUTPUT = 1 << 22
 GF_ORDER = 1 << 16  # largest `gf --order`: 0.3 s and 24 MB for any series
 # Largest target counts_up_to builds its O(limit) lists for: s = 1 takes

@@ -66,11 +66,11 @@ def ruler_factorization(s: int, terms: int) -> str:
     if s < 0 or terms < 1:
         raise ValueError("ruler_factorization needs s >= 0, terms >= 1")
     limits.check("ruler_factorization length", sequences.p(s, terms + 1) - 1, "OUTPUT")
-    chunks = []
-    for j in range(1, terms + 1):
-        run = sequences.ruler(j) + (s if sequences.is_power_of_two(j) else 0)
-        chunks.append("1" + "0" * (run - 1))
-    return "".join(chunks)
+    runs = list(map(sequences.ruler, range(1, terms + 1)))
+    for i in range(terms.bit_length()):  # the powers of two up to terms
+        runs[(1 << i) - 1] += s
+    pieces = {run: "1" + "0" * (run - 1) for run in set(runs)}  # one per length
+    return "".join(map(pieces.__getitem__, runs))
 
 
 def morphism_fixed_point(length: int) -> str:

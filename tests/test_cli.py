@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from metafib import cli, limits
+from metafib import cli, codes, limits
 from metafib import sequences as sq
 from metafib import series, verify
 from metafib.cli import main
@@ -485,14 +485,17 @@ SEQ_WINDOWS = [(1, 1), (1, 40), (2, 2), (7, 9), (15, 17), (60, 70), (127, 129),
                (250, 260), (1000, 1100)]
 
 
+def per_value_lines(indices, values, fmt):
+    sep = {"tsv": "\t", "bfile": " "}.get(fmt)
+    if sep is None:
+        return [f"{v}\n" for v in values]
+    return [f"{n}{sep}{v}\n" for n, v in zip(indices, values)]
+
+
 def reference_dump(which, s, lo, hi, fmt):
     fn = {"a": sq.a, "d": sq.d, "p": sq.p}[which]
-    lines = []
-    for n in range(lo, hi + 1):
-        value = fn(s, n)
-        lines.append({"plain": f"{value}", "tsv": f"{n}\t{value}",
-                      "bfile": f"{n} {value}"}[fmt])
-    return "".join(line + "\n" for line in lines)
+    window = range(lo, hi + 1)
+    return "".join(per_value_lines(window, [fn(s, n) for n in window], fmt))
 
 
 @pytest.mark.parametrize("fmt", ["plain", "tsv", "bfile"])
@@ -504,6 +507,82 @@ def test_bulk_seq_matches_per_value(capsys, which, fmt):
                                    "--to", str(hi), "--format", fmt)
             assert code == 0
             assert out == reference_dump(which, s, lo, hi, fmt), (which, s, lo, hi)
+
+
+# Range dumps by argv prefix: (first index, the public function per value).
+# The codes dumps are checked against the bridges a_max(n) = a(1, n - 1) and
+# b_seq(n) = a(0, n), which verify proves, so a long window stays cheap.
+CHUNKED_DUMPS = {
+    ("seq", "a", "--s", "2"): (1, lambda n: sq.a(2, n)),
+    ("seq", "d", "--s", "3"): (1, lambda n: sq.d(3, n)),
+    ("seq", "p", "--s", "5"): (1, lambda n: sq.p(5, n)),
+    ("codes", "amax"): (2, lambda n: sq.a(1, n - 1)),
+    ("codes", "bseq"): (1, lambda n: sq.a(0, n)),
+}
+GF_SERIES = {("gf", "ruler"): series.gf_ruler,
+             ("gf", "D", "--s", "2"): lambda order: series.gf_Ds_sum(2, order),
+             ("gf", "A", "--s", "1"): lambda order: series.gf_A_from_D(1, order),
+             ("gf", "P", "--s", "3"): lambda order: series.gf_Ps(3, order)}
+
+
+def check_chunked_dumps(capsys, lengths, starts, dumps, fmts):
+    """Range dumps against per-value lines, in windows of the given lengths."""
+    for prefix, (first, value) in dumps.items():
+        for lo in (first + start for start in starts):
+            window = range(lo, lo + max(lengths))
+            values = list(map(value, window))
+            for fmt in fmts:
+                lines = per_value_lines(window, values, fmt)
+                for length in lengths:
+                    code, out, _ = run_cli(capsys, *prefix, "--from", str(lo), "--to",
+                                           str(window[length - 1]), "--format", fmt)
+                    assert code == 0
+                    assert out == "".join(lines[:length]), (prefix, lo, length, fmt)
+
+
+def check_chunked_gf(capsys, lengths):
+    for prefix, build in GF_SERIES.items():
+        for order in (length - 1 for length in lengths):
+            window = range(order + 1)
+            coeffs = list(map(build(order).coefficient, window))
+            for fmt in ("tsv", "bfile"):  # gf always prints its index
+                code, out, _ = run_cli(capsys, *prefix, "--order", str(order),
+                                       "--format", fmt)
+                assert code == 0
+                assert out == "".join(per_value_lines(window, coeffs, fmt)), (prefix, order)
+
+
+def test_chunked_dumps_match_per_value_at_a_small_chunk(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_CHUNK", 7)
+    # one value, and one before, on and one after a multiple of the chunk
+    lengths = (1, 6, 7, 8, 13, 14, 15)
+    check_chunked_dumps(capsys, lengths, (0, 5), CHUNKED_DUMPS, ("plain", "tsv", "bfile"))
+    check_chunked_gf(capsys, lengths)
+
+
+def test_chunked_dumps_match_per_value_at_the_real_chunk(capsys):
+    # the small chunk's code path at full size, kept short: one format serves
+    # the slow codes dumps, since formatting does not depend on the dump
+    chunk = cli._CHUNK
+    seq = {prefix: dump for prefix, dump in CHUNKED_DUMPS.items() if prefix[0] == "seq"}
+    check_chunked_dumps(capsys, (chunk, chunk + 1), (0,), seq,
+                        ("plain", "tsv", "bfile"))
+    codes_dumps = {prefix: dump for prefix, dump in CHUNKED_DUMPS.items()
+                   if prefix[0] == "codes"}
+    check_chunked_dumps(capsys, (chunk + 1,), (0,), codes_dumps, ("bfile",))
+    assert chunk <= limits.GF_ORDER
+    check_chunked_gf(capsys, (chunk + 1,))
+
+
+@pytest.mark.parametrize("lo", [10**17, 2**62])
+def test_seq_p_dump_past_the_machine_word(capsys, lo):
+    # the values near 2 * 10**17 pass 2**53, those from 2**62 on pass 2**63
+    for fmt in ("plain", "tsv", "bfile"):
+        code, out, _ = run_cli(capsys, "seq", "p", "--s", "5", "--from", str(lo),
+                               "--to", str(lo + 20), "--format", fmt)
+        assert code == 0
+        assert out == reference_dump("p", 5, lo, lo + 20, fmt)
+    assert sq.p(5, 2**62) > 2**63
 
 
 def test_bulk_seq_rejects_negative_shift(capsys):

@@ -69,6 +69,28 @@ def test_ruler_factorization_length_and_guard():
             words.ruler_factorization(s, terms)
 
 
+def ruler_runs_per_term(s, terms):
+    """The run-length factorization built one term at a time."""
+    chunks = []
+    for j in range(1, terms + 1):
+        run = sq.ruler(j) + (s if sq.is_power_of_two(j) else 0)
+        chunks.append("1" + "0" * (run - 1))
+    return "".join(chunks)
+
+
+def test_ruler_factorization_matches_the_per_term_runs():
+    # each term count's word is a prefix of the longest one's
+    counts = [*range(1, 301), *(2**k for k in range(18))]
+    for s in range(7):
+        reference = ruler_runs_per_term(s, max(counts))
+        for terms in counts:
+            assert words.ruler_factorization(s, terms) == reference[: sq.p(s, terms + 1) - 1]
+    s = 10**5  # the bonus pieces dwarf the ruler's
+    reference = ruler_runs_per_term(s, 40)
+    for terms in range(1, 41):
+        assert words.ruler_factorization(s, terms) == reference[: sq.p(s, terms + 1) - 1]
+
+
 def test_morphism_values():
     assert words.morphism_fixed_point(3) == "110"
     assert words.morphism_fixed_point(7) == "1101100" == words.word_E(2)
