@@ -5,6 +5,11 @@ tree; validity means the Kraft sum of 2**(-level) is exactly 1.  M(n, h)
 is the most sibling leaf pairs any n-leaf height-h code can park at the
 bottom level; the greedy construction attains it, and two slices of the
 M table reproduce the shift-0 and shift-1 sequences.
+
+Closed form served, greedy verified: M(n, h) = a(0, n - h) on its feasible
+band, so M, a_max and b_seq are served by sequences.a0_fast in O(log n).
+The greedy bottom count _M_greedy stays the private route that ``verify``
+compares them with, beside the exhaustive M_oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 
-from . import limits
+from . import limits, sequences
 
 
 def _ceil_lg(n: int) -> int:
@@ -196,20 +201,32 @@ def shrink(code) -> tuple:
     raise ValueError("no equal pair to shrink")  # impossible for valid codes
 
 
-def M(n: int, h: int) -> int:
-    """Most sibling leaf pairs at the bottom of an n-leaf height-h code.
-
-    Zero when no such code exists (h too small for n leaves, or n too
-    small for height h); otherwise the bottom of the greedy code, which
-    is optimal, read off its left-first descent in O(h) with no state.
-    """
+def _feasible(n: int, h: int) -> bool:
+    """Check M's arguments; True iff some code has n leaves and height h."""
     if n < 2:
         raise ValueError("codes need n >= 2")
     if h < 1:
         raise ValueError("height must be >= 1")
-    if h >= n or h < _ceil_lg(n):  # n < h + 1, or n > 2**h by bit length
+    return _ceil_lg(n) <= h < n  # h + 1 <= n <= 2**h, without building 2**h
+
+
+def M(n: int, h: int) -> int:
+    """Most sibling leaf pairs at the bottom of an n-leaf height-h code.
+
+    Zero when no such code exists (h too small for n leaves, or n too
+    small for height h); otherwise the closed form a(0, n - h), served by
+    a0_fast in O(log n) with no state.  ``verify`` checks it against the
+    greedy bottom count _M_greedy and the brute force M_oracle.
+    """
+    return sequences.a0_fast(n - h) if _feasible(n, h) else 0
+
+
+def _M_greedy(n: int, h: int) -> int:
+    """M as the bottom of the greedy code, which is optimal, read off its
+    left-first descent in O(h): the route ``verify`` checks M against."""
+    if not _feasible(n, h):
         return 0
-    limits.check("M height h", h, "OUTPUT")  # _greedy_leaves builds h + 1 counts
+    limits.check("greedy M height h", h, "OUTPUT")  # _greedy_leaves builds h + 1 counts
     return _greedy_leaves(n, h)[h] // 2
 
 
@@ -222,23 +239,25 @@ def M_oracle(n: int, h: int) -> int:
 
 
 def a_max(n: int) -> int:
-    """Best bottom pair count over all heights; attained at the minimum one."""
+    """Best bottom pair count over all heights; attained at the minimum one.
+
+    Served in closed form as M(n, ceil(lg n)) = a(0, n - ceil(lg n));
+    ``verify`` checks it on the greedy route.
+    """
     if n < 2:
         raise ValueError("a_max needs n >= 2")
-    return M(n, _ceil_lg(n))
+    return sequences.a0_fast(n - _ceil_lg(n))
 
 
 def b_seq(n: int) -> int:
     """M(n + h, h) for the smallest height h with n + h <= 2**h.
 
-    Independent of taking any larger height, which is a tested property.
+    Served in closed form as a(0, n); taking any larger height gives the
+    same count, which ``verify`` checks on the greedy route.
     """
     if n < 1:
         raise ValueError("b_seq needs n >= 1")
-    h = 1
-    while n + h > 1 << h:
-        h += 1
-    return M(n + h, h)
+    return sequences.a0_fast(n)
 
 
 def max_ones_partition_brute(n: int, h: int) -> int:

@@ -7,11 +7,13 @@ N > OUTPUT itself; ``cli`` checks only its windows, ``mtable`` cells and
 # Most values one call builds or prints: a range dump or `mtable` cells, a
 # word or leaf stream, a greedy code, a series' order (order + 1
 # coefficients), a shift table's s + 3 seed values, a first part's s
-# choices, a part's position i (2**i + s - 1) or M's height h (h + 1 level
-# counts).  At the limit a `seq a --s 1` dump takes 2.3 s and 51 MB peak
-# RSS, written in chunks of 2**16 values, `word runs --terms 2097151`
-# (2**22 - 23 characters) 0.6 s and 52 MB, and M(2**22 + 1, 2**22) 1.4 s
-# and 46 MB; D_n and E_n (2**(n+1) - 1 characters) stop at n = 21.
+# choices or a part's position i (2**i + s - 1).  At the limit a
+# `seq a --s 1` dump takes 2.3 s and 51 MB peak RSS, written in chunks of
+# 2**16 values, and `word runs --terms 2097151` (2**22 - 23 characters)
+# 0.6 s and 52 MB.  M, a_max and b_seq are closed forms that build
+# nothing, so `codes mtable --nmax 2049`, `codes amax --to 2**22 + 1` and
+# `codes bseq --to 2**22` take 2.5-2.8 s and 16-19 MB each; D_n and E_n
+# (2**(n+1) - 1 characters) stop at n = 21.
 OUTPUT = 1 << 22
 GF_ORDER = 1 << 16  # largest `gf --order`: 0.3 s and 24 MB for any series
 # Largest target counts_up_to builds its O(limit) lists for: s = 1 takes

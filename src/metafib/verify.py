@@ -44,7 +44,7 @@ def _bounds(depth: str) -> dict:
             "shift_max": 3, "n_seq": 2000, "n_eval": 5000, "order": 256,
             "word_bits": 1 << 10, "word_idx": 10,
             "comp_n": 300, "comp_enum": 20, "codes_n": 9, "dom_n": 9,
-            "bridge_n": 512, "stable_n": 60, "chain_n": 1 << 7,
+            "bridge_n": 512, "stable_n": 60, "chain_n": 1 << 7, "grid_h": 8,
             "counts_h": 6, "partition_h": 4, "double_h": 8,
         }
     if depth == "full":
@@ -52,7 +52,7 @@ def _bounds(depth: str) -> dict:
             "shift_max": 6, "n_seq": 20000, "n_eval": 100000, "order": 4096,
             "word_bits": 1 << 14, "word_idx": 16,
             "comp_n": 2000, "comp_enum": 30, "codes_n": 14, "dom_n": 12,
-            "bridge_n": 4096, "stable_n": 200, "chain_n": 1 << 10,
+            "bridge_n": 4096, "stable_n": 200, "chain_n": 1 << 10, "grid_h": 12,
             "counts_h": 8, "partition_h": 6, "double_h": 14,
         }
     raise ValueError(f"unknown depth {depth!r}")
@@ -247,9 +247,14 @@ def _check_codes_optimum(b):
     for n in range(2, b["codes_n"] + 1):
         for h in range(1, n):
             _need(
-                codes.M(n, h) == codes.M_oracle(n, h),
+                codes._M_greedy(n, h) == codes.M_oracle(n, h),
                 f"M({n},{h}) differs from brute force",
             )
+    # the served closed form against the greedy bottom count, every feasible cell
+    for h in range(1, b["grid_h"] + 1):
+        cells = range(h + 1, (1 << h) + 1)
+        _agree([codes.M(n, h) for n in cells], [codes._M_greedy(n, h) for n in cells],
+               lambda i: f"served M({h + 1 + i},{h}) differs from greedy")
 
 
 def _check_dominance(b):
@@ -265,26 +270,37 @@ def _check_dominance(b):
                     )
 
 
+def _slack_height(n):
+    """The smallest height h with n + h <= 2**h: b_seq(n) is M(n + h, h)."""
+    h = 1
+    while n + h > 1 << h:
+        h += 1
+    return h
+
+
 def _check_bridge_amax(b):
-    top = b["bridge_n"]
-    _agree(map(codes.a_max, range(2, top + 1)), sequences.table(1).values(1, top - 1),
-           lambda i: f"a_max({i+2})")
+    # greedy M at the minimum height; the served a_max is checked against it
+    ns = range(2, b["bridge_n"] + 1)
+    greedy = [codes._M_greedy(n, codes._ceil_lg(n)) for n in ns]
+    _agree(greedy, sequences.table(1).values(1, ns[-1] - 1),
+           lambda i: f"greedy a_max({i+2})")
+    _agree(map(codes.a_max, ns), greedy, lambda i: f"served a_max({i+2})")
 
 
 def _check_bridge_bseq(b):
-    top = b["bridge_n"]
-    _agree(map(codes.b_seq, range(1, top + 1)), sequences.table(0).values(1, top),
-           lambda i: f"b_seq({i+1})")
+    ns = range(1, b["bridge_n"] + 1)
+    greedy = [codes._M_greedy(n + h, h) for n, h in zip(ns, map(_slack_height, ns))]
+    _agree(greedy, sequences.table(0).values(1, ns[-1]),
+           lambda i: f"greedy b_seq({i+1})")
+    _agree(map(codes.b_seq, ns), greedy, lambda i: f"served b_seq({i+1})")
 
 
 def _check_height_stability(b):
     for n in range(1, b["stable_n"] + 1):
-        h = 1
-        while n + h > 1 << h:
-            h += 1
-        base = codes.M(n + h, h)
+        h = _slack_height(n)
+        base = codes._M_greedy(n + h, h)
         for k in range(h, h + 5):
-            _need(codes.M(n + k, k) == base, f"stability n={n} k={k}")
+            _need(codes._M_greedy(n + k, k) == base, f"stability n={n} k={k}")
 
 
 def _check_kraft(b):
@@ -334,7 +350,7 @@ def _check_partition_ones(b):
         for n in range(2, min((1 << h) + 2, 15)):
             brute = codes.max_ones_partition_brute(n, h)
             _need(
-                brute == 2 * codes.M(n, h),
+                brute == 2 * codes._M_greedy(n, h),
                 f"partition ones n={n} h={h}: {brute}",
             )
 

@@ -152,9 +152,9 @@ def test_criterion_7_codes():
         h = 1
         while n + h > 1 << h:
             h += 1
-        base = codes.M(n + h, h)
+        base = codes._M_greedy(n + h, h)
         for k in range(h, h + 5):
-            assert codes.M(n + k, k) == base, (n, k)
+            assert codes._M_greedy(n + k, k) == base, (n, k)
     for n in range(2, 14):
         for h in range((n - 1).bit_length(), n):
             codes.validate_code(codes.greedy_tree(n, h))

@@ -4,7 +4,7 @@ import pytest
 
 from metafib import cli, codes, limits
 from metafib import sequences as sq
-from metafib import series, verify
+from metafib import series, trees, verify
 from metafib.cli import main
 
 from _rows import ROWS_A, ROWS_D
@@ -182,8 +182,8 @@ def test_codes_bseq_bridge(capsys):
 
 def test_codes_amax_bseq_at_huge_n():
     top = 10**12
-    for sub, expect in (("amax", lambda n: sq.as_via_a0(1, n - 1)),
-                        ("bseq", sq.a0_fast)):
+    for sub, expect in (("amax", lambda n: trees.leaves_in_prefix(1, n - 1)),
+                        ("bseq", lambda n: trees.leaves_in_prefix(0, n))):
         result = run_metafib("codes", sub, "--from", str(top), "--to", str(top + 5),
                              timeout=30)
         assert result.returncode == 0
@@ -511,13 +511,14 @@ def test_bulk_seq_matches_per_value(capsys, which, fmt):
 
 # Range dumps by argv prefix: (first index, the public function per value).
 # The codes dumps are checked against the bridges a_max(n) = a(1, n - 1) and
-# b_seq(n) = a(0, n), which verify proves, so a long window stays cheap.
+# b_seq(n) = a(0, n), which verify proves, with a read off the tree oracle:
+# past its table sq.a runs the same a0 peel that serves the dumps.
 CHUNKED_DUMPS = {
     ("seq", "a", "--s", "2"): (1, lambda n: sq.a(2, n)),
     ("seq", "d", "--s", "3"): (1, lambda n: sq.d(3, n)),
     ("seq", "p", "--s", "5"): (1, lambda n: sq.p(5, n)),
-    ("codes", "amax"): (2, lambda n: sq.a(1, n - 1)),
-    ("codes", "bseq"): (1, lambda n: sq.a(0, n)),
+    ("codes", "amax"): (2, lambda n: trees.leaves_in_prefix(1, n - 1)),
+    ("codes", "bseq"): (1, lambda n: trees.leaves_in_prefix(0, n)),
 }
 GF_SERIES = {("gf", "ruler"): series.gf_ruler,
              ("gf", "D", "--s", "2"): lambda order: series.gf_Ds_sum(2, order),

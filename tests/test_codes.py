@@ -4,8 +4,10 @@ import time
 import pytest
 
 from metafib import sequences as sq
+from metafib import trees
 from metafib.codes import (
     M,
+    _M_greedy,
     M_oracle,
     a_max,
     b_seq,
@@ -222,7 +224,25 @@ def test_M_oracle_examples():
 def test_M_matches_oracle_everywhere_small():
     for n in range(2, 15):
         for h in range(1, n):
-            assert M(n, h) == M_oracle(n, h), (n, h)
+            assert M(n, h) == _M_greedy(n, h) == M_oracle(n, h), (n, h)
+
+
+def test_served_M_matches_the_greedy_bottom_count_on_the_grid():
+    # every feasible cell h + 1 <= n <= 2**h up to h = 12: 8112 cells
+    cells = [(n, h) for h in range(1, 13) for n in range(h + 1, (1 << h) + 1)]
+    assert len(cells) == 8112
+    assert [M(n, h) for n, h in cells] == [_M_greedy(n, h) for n, h in cells]
+
+
+def test_served_M_matches_the_tree_oracle_at_random_cells():
+    # M(n, h) = a(0, n - h): the prefix leaf count of the shift-0 forest.
+    # n is spread over its bit lengths, so the foot of each band is reached.
+    rng = random.Random(18)
+    for _ in range(20000):
+        h = rng.randrange(1, 200)
+        span = min(1 << h, 10**18) - h  # n runs over h + 1 .. h + span
+        n = h + 1 + (rng.randrange(span) >> rng.randrange(span.bit_length()))
+        assert M(n, h) == trees.leaves_in_prefix(0, n - h), (n, h)
 
 
 def test_dominance_of_greedy_counts():
@@ -255,12 +275,12 @@ def test_huge_n_is_bounded():
     started = time.monotonic()
     for top in (10**12, 10**18):
         for n in range(top - 3, top + 4):
-            assert a_max(n) == sq.as_via_a0(1, n - 1), n
-            assert b_seq(n) == sq.a0_fast(n), n
+            assert a_max(n) == trees.leaves_in_prefix(1, n - 1), n
+            assert b_seq(n) == trees.leaves_in_prefix(0, n), n
     rng = random.Random(60)
     for _ in range(200):
         n = rng.randrange(61, 2**60 + 1)
-        assert M(n, 60) == sq.a0_fast(n - 60), n
+        assert M(n, 60) == trees.leaves_in_prefix(0, n - 60), n
     assert M(2**60, 60) == 2**59
     assert time.monotonic() - started < 1.0
 
@@ -269,13 +289,17 @@ def test_M_answers_empty_cells_and_refuses_huge_heights_by_name():
     from metafib.limits import OUTPUT
 
     # empty cells answer 0 without building 2**h or h + 1 counts
-    assert M(5, 10**18) == 0  # n < h + 1
-    assert M(10**18, 5) == 0  # n > 2**h
-    assert M(2**60, 60) == 2**59 and M(2**60 + 1, 60) == 0
+    for route in (M, _M_greedy):
+        assert route(5, 10**18) == 0  # n < h + 1
+        assert route(10**18, 5) == 0  # n > 2**h
+        assert route(2**60, 60) == 2**59 and route(2**60 + 1, 60) == 0
+    # the served closed form builds nothing, so any feasible height answers;
+    # the greedy route builds h + 1 counts and refuses past OUTPUT by name
     named = rf"<= {OUTPUT} \(limits.OUTPUT\)"
     for n, h in ((OUTPUT + 2, OUTPUT + 1), (10**18, 10**17)):
+        assert M(n, h) == trees.leaves_in_prefix(0, n - h), (n, h)
         with pytest.raises(ValueError, match=named):
-            M(n, h)
+            _M_greedy(n, h)
 
 
 def test_height_stability():
@@ -283,9 +307,9 @@ def test_height_stability():
         h = 1
         while n + h > 2**h:
             h += 1
-        base = M(n + h, h)
+        base = _M_greedy(n + h, h)
         for k in range(h, h + 5):
-            assert M(n + k, k) == base
+            assert _M_greedy(n + k, k) == base
 
 
 def test_partition_view():

@@ -9,10 +9,10 @@ comparison that finds a mismatch: any shift of a matching role's index or
 value deltas is one, by the CLI's exit-code contract.  `verify` takes no
 integer option.
 
-Not swept: values exactly at a limit.  Those are accepted, and some are
-slow: `codes mtable --nmax 2049` runs for more than 60 s (one O(h) greedy
-descent per cell), and `codes amax --to 2**22 + 1` takes 21 s.  Only the
-`seq` dumps at `--to limits.OUTPUT` are run, under a far tighter cap.
+Not swept: values exactly at a limit, which are accepted.  The dumps at
+their limits are run on their own: `seq a|p --to limits.OUTPUT` under a far
+tighter cap, and `codes mtable --nmax 2049`, `codes amax --to 2**22 + 1`
+and `codes bseq --to 2**22` under the sweep's 1 GiB cap.
 """
 
 import functools
@@ -21,7 +21,7 @@ import subprocess
 
 import pytest
 
-from metafib import limits, sequences
+from metafib import limits, sequences, trees
 
 from _run import cap_child_memory, run_metafib
 
@@ -117,4 +117,30 @@ def test_seq_dump_at_the_limit_fits_a_small_address_space(which):
     assert result.returncode == 0, result.stderr[-500:]
     assert result.stdout.count("\n") == OUT
     last = getattr(sequences, which)(1, OUT)
+    assert result.stdout.endswith(f"\n{last}\n")
+
+
+def _mtable_last_row(n):
+    """Row n of `codes mtable --nmax n`: M(n, h) = a(0, n - h) from the tree
+    oracle on the feasible band ceil(lg n) <= h < n, else 0."""
+    cells = [trees.leaves_in_prefix(0, n - h) if (n - 1).bit_length() <= h else 0
+             for h in range(1, n)]
+    return "\t".join(map(str, [n, *cells]))
+
+
+# The codes dumps at their limits; served in closed form, each takes ~3 s.
+# (argv, lines printed, the last line)
+CODES_AT_LIMIT = [
+    (["mtable", "--nmax", "2049"], 2048, _mtable_last_row(2049)),
+    (["amax", "--to", str(OUT + 1)], OUT, str(trees.leaves_in_prefix(1, OUT))),
+    (["bseq", "--to", str(OUT)], OUT, str(trees.leaves_in_prefix(0, OUT))),
+]
+
+
+@pytest.mark.parametrize("argv, lines, last", CODES_AT_LIMIT,
+                         ids=[" ".join(argv) for argv, _, _ in CODES_AT_LIMIT])
+def test_codes_dump_at_the_limit(argv, lines, last):
+    result = run_metafib("codes", *argv, timeout=60, preexec_fn=cap_child_memory)
+    assert result.returncode == 0, result.stderr[-500:]
+    assert result.stdout.count("\n") == lines
     assert result.stdout.endswith(f"\n{last}\n")
