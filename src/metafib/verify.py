@@ -4,15 +4,22 @@ Each identity compares two independently computed objects.  ``run_all``
 prints one PASS/FAIL line per identity in a fixed order and reports
 whether everything held.  Depth presets: "quick" for a fast smoke pass,
 "full" for the complete ranges.
+
+The evaluator sweeps (10^5 labels a shift at full depth) are compared with
+the recurrence one window of at most ``_WINDOW`` labels at a time, so no
+sweep-long list of values is ever held.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from functools import partial
 from itertools import accumulate
 
 from . import codes, compositions, sequences, series, trees, words
+
+_WINDOW = 1 << 12  # labels per evaluator comparison window
 
 
 class IdentityFailure(AssertionError):
@@ -29,9 +36,13 @@ def _agree(got, want, detail):
 
     ``detail`` maps the first differing index (or, when the lengths differ,
     the shorter length) to the failure text, so no text is formatted for
-    the values that agree.
+    the values that agree.  Lists are compared as given; any other
+    iterable is listed first.
     """
-    got, want = list(got), list(want)
+    if not isinstance(got, list):
+        got = list(got)
+    if not isinstance(want, list):
+        want = list(want)
     if got != want:
         i = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y),
                  min(len(got), len(want)))
@@ -66,19 +77,27 @@ def _check_steps(b):
                lambda i: f"a({s},{i+2}) - a({s},{i+1}) = {steps[i]}")
 
 
+def _sweep(route, t, lo, hi, detail):
+    """Compare route(n) with the table ``t`` for n = lo..hi, one window of
+    at most _WINDOW labels at a time; detail(n) names the first bad label.
+    The windows ascend, so an ascending sweep's memo (as_descent's) still
+    serves each next label."""
+    for start in range(lo, hi + 1, _WINDOW):
+        stop = min(start + _WINDOW, hi + 1)
+        _agree(list(map(route, range(start, stop))), t.values(start, stop - 1),
+               lambda i: detail(start + i))
+
+
 def _check_evaluators(b):
     top = b["n_eval"]
-    labels = range(1, top + 1)
     for s in range(b["shift_max"] + 1):
-        vals = sequences.table(s).values(1, top)
-        _agree([sequences.as_via_a0(s, n) for n in labels], vals,
-               lambda i: f"as_via_a0({s},{i+1})")
-        _agree([sequences.as_descent(s, n) for n in labels], vals,
-               lambda i: f"as_descent({s},{i+1})")
-    _agree(map(sequences.a0_fast, range(top + 1)), sequences.table(0).values(0, top),
-           lambda i: f"a0_fast({i})")
-    _agree(map(sequences.a1_fast, labels), sequences.table(1).values(1, top),
-           lambda i: f"a1_fast({i+1})")
+        t = sequences.table(s)
+        _sweep(partial(sequences.as_via_a0, s), t, 1, top,
+               lambda n: f"as_via_a0({s},{n})")
+        _sweep(partial(sequences.as_descent, s), t, 1, top,
+               lambda n: f"as_descent({s},{n})")
+    _sweep(sequences.a0_fast, sequences.table(0), 0, top, lambda n: f"a0_fast({n})")
+    _sweep(sequences.a1_fast, sequences.table(1), 1, top, lambda n: f"a1_fast({n})")
 
 
 def _check_tree_flags(b):
@@ -91,9 +110,10 @@ def _check_tree_flags(b):
 
 def _check_tree_counts(b):
     for s in range(b["shift_max"] + 1):
-        vals = sequences.table(s).values(0, b["n_seq"])
         scan = trees.leaf_count_scan(s, b["n_seq"])
-        _agree(scan[1:], vals[1:], lambda i: f"prefix leaf counts s={s} n={i+1}")
+        del scan[0]  # unused slot
+        _agree(scan, sequences.table(s).values(1, b["n_seq"]),
+               lambda i: f"prefix leaf counts s={s} n={i+1}")
 
 
 def _check_first_hits(b):
@@ -102,7 +122,8 @@ def _check_first_hits(b):
         hits = range(2, t.a(b["n_seq"]) + 1)
         pos = [sequences.p(s, n) for n in hits]
         vals = t.values(0, pos[-1])  # p increases, so pos[-1] is the largest
-        _agree([(vals[q], vals[q - 1]) for q in pos], [(n, n - 1) for n in hits],
+        # a(p(n) - 1) = n - 1 and a(p(n)) = n; a bad step reads 0, which no n >= 2 is
+        _agree([vals[q] if vals[q - 1] == vals[q] - 1 else 0 for q in pos], hits,
                lambda i: f"p({s},{i+2})={pos[i]}")
 
 

@@ -1,4 +1,6 @@
 import io
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,6 +24,48 @@ def test_evaluator_mismatch_names_the_first_bad_label(monkeypatch):
     bad = "FAIL  closed-form evaluators match the recurrence: as_descent(2,3001)"
     assert lines == [bad if line.endswith(" match the recurrence") else line
                      for line in (f"PASS  {name}" for name, _ in verify.IDENTITIES)]
+
+
+# Quick depth sweeps labels up to n_eval = 5000 at shifts 0..3, in windows
+# of 2^12 labels: 1..4096 and 4097..5000 (0..4095 and 4096..5000 for a0).
+@pytest.mark.parametrize("name, bad, text", [
+    ("as_via_a0", (2, 4097), "as_via_a0(2,4097)"),  # first label of window two
+    ("as_descent", (3, 5000), "as_descent(3,5000)"),  # last label of the sweep
+    ("a0_fast", (0,), "a0_fast(0)"),
+    ("a1_fast", (5000,), "a1_fast(5000)"),
+])
+def test_evaluator_window_edges_name_the_bad_label(monkeypatch, name, bad, text):
+    real = getattr(sequences, name)
+    monkeypatch.setattr(sequences, name, lambda *args: real(*args) + (args == bad))
+    ok, lines = run_quick()
+    assert not ok
+    failed = [line for line in lines if not line.startswith("PASS")]
+    assert failed == [f"FAIL  closed-form evaluators match the recurrence: {text}"]
+
+
+def test_evaluator_sweep_memory_does_not_grow_with_the_sweep(monkeypatch):
+    # Both sides read lists built beforehand, so all that is traced is what
+    # the comparison itself holds; traced, the routes' and the table's own
+    # int allocations would take ~10 s.
+    window = 1 << 12
+    vals = [sequences.table(s).values(0, 16 * window) for s in (0, 1)]
+    tables = [SimpleNamespace(values=lambda lo, hi, v=v: v[lo : hi + 1]) for v in vals]
+    monkeypatch.setattr(sequences, "table", tables.__getitem__)
+    monkeypatch.setattr(sequences, "as_via_a0", lambda s, n: vals[s][n])
+    monkeypatch.setattr(sequences, "as_descent", lambda s, n: vals[s][n])
+    monkeypatch.setattr(sequences, "a0_fast", vals[0].__getitem__)
+    monkeypatch.setattr(sequences, "a1_fast", vals[1].__getitem__)
+
+    def peak(windows):
+        tracemalloc.start()
+        try:
+            verify._check_evaluators({"shift_max": 1, "n_eval": windows * window})
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2), peak(16)
+    assert large <= 1.5 * small, (small, large)
 
 
 def test_flipped_leaf_flag_fails_only_the_ones_count(monkeypatch):
