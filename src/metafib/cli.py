@@ -24,8 +24,11 @@ def _window(args, first):
 
 
 # A range dump is formatted and written _CHUNK values at a time, so its
-# memory is bounded by the chunk's strings, not by the window.
-_CHUNK = 1 << 16
+# memory is bounded by the chunk's strings, not by the window.  2**12 is the
+# size of verify's comparison window: a bfile chunk's ints, strings and %
+# tuple peak at ~0.5 MB (traced), where 2**16 took ~8 MB, and a dump takes
+# no longer.
+_CHUNK = 1 << 12
 
 
 def _emit_window(window, read, fmt, out):

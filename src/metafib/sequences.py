@@ -20,7 +20,7 @@ a faster or structurally different route to the same numbers so that they
 can be cross-checked.
 
 Both memos hold machine integers from the stdlib ``array`` module, not
-boxed ints: a table takes 8 bytes a value, and the ``as_descent`` memo is
+boxed ints: a table takes 4 bytes a value, and the ``as_descent`` memo is
 one fixed array of _DESCENT_MEMO_TOP + 1 slots shared by every shift,
 allocated once at import.
 """
@@ -69,10 +69,12 @@ class SequenceTable:
     a(n) = a(n - s - a(n-1)) + a(n - s - 1 - a(n-2)), seeded with s + 2
     ones and a final 2.
 
-    The values are held as 8-byte machine integers (``array("q")``); every
-    reader hands out ints or fresh lists.  Its indices provably never
-    escape the values already defined; if one does, that is a bug and
-    ``RuntimeError`` is raised.  Values already handed out never change;
+    The values are held as C ints (``array("i")``, 4 bytes where a C int
+    is): a(n) <= n, so every value fits below 2**31 labels, far past
+    ``limits.OUTPUT``, and one that did not would make ``append`` raise
+    ``OverflowError``, never wrap.  Every reader hands out ints or fresh
+    lists.  Its indices provably never escape the values already defined;
+    if one does, that is a bug and ``RuntimeError`` is raised.  Values already handed out never change;
     growth is serialized by an internal lock so a table may be shared
     across threads.
     """
@@ -82,7 +84,7 @@ class SequenceTable:
             raise ValueError("shift must be >= 0")
         limits.check("shift table seed values s + 3", shift + 3, "OUTPUT")
         self.shift = shift
-        self._a = array("q", [1]) * (shift + 2)
+        self._a = array("i", [1]) * (shift + 2)
         self._a.append(2)
         self._lock = threading.Lock()
 

@@ -118,17 +118,20 @@ def leaf_count_scan(s: int, n_max: int) -> list:
     One preorder sweep of the forest's structure: the one-node tree, then
     for h = 1, 2, ... the s path labels and the complete subtree of height
     h, whose preorder leaf flags are [0] + F(h-1) + F(h-1) with F(1) = [1].
+    The flags are bytes and stop at label n_max, so the counts are nearly
+    all the memory the scan takes.
     """
     if s < 0 or n_max < 0:
         raise ValueError("leaf_count_scan needs s >= 0, n_max >= 0")
     limits.check("leaf_count_scan n_max", n_max, "OUTPUT")
-    flags = [1]
-    subtree = [1]  # preorder leaf flags of the complete subtree of height h
+    flags = bytearray(b"\1"[:n_max])  # label 1, the one-node tree, is a leaf
+    subtree = b"\1"  # preorder leaf flags of the complete subtree of height h
     while len(flags) < n_max:
-        flags += [0] * min(s, n_max)  # s may dwarf the prefix
-        flags += subtree
-        subtree = [0] + subtree + subtree
-    return [0, *accumulate(flags[:n_max])]
+        flags += bytes(min(s, n_max - len(flags)))  # s may dwarf the prefix
+        flags += subtree[: n_max - len(flags)]
+        if len(flags) < n_max:
+            subtree = b"\0" + subtree + subtree
+    return [0, *accumulate(flags)]
 
 
 def _draw_subtree(lines, prefix, child_prefix, label, height, n_cap):

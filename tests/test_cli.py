@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import pytest
 
@@ -563,16 +564,51 @@ def test_chunked_dumps_match_per_value_at_a_small_chunk(capsys, monkeypatch):
 
 def test_chunked_dumps_match_per_value_at_the_real_chunk(capsys):
     # the small chunk's code path at full size, kept short: one format serves
-    # the slow codes dumps, since formatting does not depend on the dump
+    # the slow codes dumps, since formatting does not depend on the dump.
+    # Sixteen chunks and one value more also pass 2**16, the chunk before.
     chunk = cli._CHUNK
+    many = 16 * chunk + 1
     seq = {prefix: dump for prefix, dump in CHUNKED_DUMPS.items() if prefix[0] == "seq"}
-    check_chunked_dumps(capsys, (chunk, chunk + 1), (0,), seq,
+    check_chunked_dumps(capsys, (chunk, chunk + 1, many), (0,), seq,
                         ("plain", "tsv", "bfile"))
     codes_dumps = {prefix: dump for prefix, dump in CHUNKED_DUMPS.items()
                    if prefix[0] == "codes"}
-    check_chunked_dumps(capsys, (chunk + 1,), (0,), codes_dumps, ("bfile",))
-    assert chunk <= limits.GF_ORDER
-    check_chunked_gf(capsys, (chunk + 1,))
+    check_chunked_dumps(capsys, (chunk + 1, many), (0,), codes_dumps, ("bfile",))
+    assert many - 1 <= limits.GF_ORDER
+    check_chunked_gf(capsys, (chunk + 1, many))
+
+
+class _ByteCount:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.count = 0
+
+    def write(self, text):
+        self.count += len(text)
+
+
+@pytest.mark.parametrize("argv", [["seq", "p", "--s", "5"], ["codes", "bseq"]])
+def test_dump_memory_is_set_by_the_chunk_not_the_window(monkeypatch, argv):
+    # closed-form dumps, so no shift table grows with the window: 16 windows
+    # of 2**12 values must peak about as high as 2
+    window = 1 << 12
+    cli._parser()  # built once per process, before anything is traced
+
+    def peak(windows):
+        sink = _ByteCount()
+        monkeypatch.setattr("sys.stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--to", str(windows * window), "--format", "bfile"])
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and sink.count > 0
+        return top
+
+    small, large = peak(2), peak(16)
+    assert large <= 1.5 * small, (small, large)
 
 
 @pytest.mark.parametrize("lo", [10**17, 2**62])

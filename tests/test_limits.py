@@ -104,9 +104,9 @@ def test_extreme_argument_exits_cleanly(argv, refused, timeout):
 
 
 # A range dump is written in chunks, so its memory is set by the shift table
-# (8 bytes a value) and one chunk's strings, not by the window: a `seq a`
-# dump at the limit peaks at ~60 MB of address space.  Formatted in one
-# piece, the same dump took ~550 MB (Python 3.11, x86-64 Linux).
+# (4 bytes a value) and one 2**12-value chunk's strings, not by the window:
+# a `seq a` dump at the limit peaks at ~37 MB of address space.  Formatted
+# in one piece, the same dump took ~550 MB (Python 3.11, x86-64 Linux).
 DUMP_CAP = 256 << 20
 
 

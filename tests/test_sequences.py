@@ -406,9 +406,10 @@ def test_as_descent_at_the_edge_of_the_tag(fresh_memos):
 
 
 def test_memos_hold_machine_integers(fresh_memos):
-    # the table holds 8-byte items and the descent memo one 4-byte slot per
-    # start 0.._DESCENT_MEMO_TOP for all shifts; readers still hand out ints
-    # and fresh lists
+    # the table holds 4-byte C ints, refusing a value past them rather than
+    # wrapping it, and the descent memo one 4-byte slot per start
+    # 0.._DESCENT_MEMO_TOP for all shifts; readers still hand out ints and
+    # fresh lists
     top = sq._DESCENT_MEMO_TOP
     memo = sq._descent_memo
     for s in range(7):
@@ -421,7 +422,9 @@ def test_memos_hold_machine_integers(fresh_memos):
     assert all(value == sq.as_via_a0(s, n) for n, (s, value) in kept.items())
     t = sq.table(5)
     assert type(t.a(5000)) is int and type(sq.a(0, 5000)) is int
-    assert t._a.itemsize == 8
+    assert t._a.typecode == "i" and t._a.itemsize == 4
+    with pytest.raises(OverflowError):
+        array(t._a.typecode).append(2**31)
     assert type(t.values(0, 10)) is list and type(t.d_values(1, 10)) is list
 
 

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import random
+import tracemalloc
 
 import pytest
 
@@ -94,6 +95,20 @@ def test_scan_sweep_matches_locate():
         trees.leaf_count_scan(-1, 5)
     with pytest.raises(ValueError, match=r"<= 4194304 \(limits.OUTPUT\)"):
         trees.leaf_count_scan(0, 10**18)
+
+
+@pytest.mark.parametrize("s", [0, 3, 6])
+def test_scan_peak_memory_is_its_result(s):
+    # the flags stop at n_max and take a byte each, so the scan peaks at
+    # little more than the counts it returns
+    tracemalloc.start()
+    try:
+        scan = trees.leaf_count_scan(s, 20000)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scan) == 20001
+    assert peak <= 1.2 * size, (size, peak)
 
 
 def test_adjacent_leaves_are_siblings():
