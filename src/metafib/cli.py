@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from itertools import repeat
 
 from . import codes, compositions, limits, oeis, sequences, series, trees, verify, words
 
@@ -32,11 +31,11 @@ _CHUNK = 1 << 12
 
 
 def _emit_window(window, read, fmt, out):
-    """Write (n, value) for each n in window; read(chunk) gives the values
-    at the indices of one chunk (a range)."""
+    """Write (n, value) for each n in window; read(lo, hi) gives the list of
+    values at the indices lo..hi of one chunk."""
     for i in range(0, len(window), _CHUNK):
         chunk = window[i : i + _CHUNK]
-        _emit_pairs(chunk, list(read(chunk)), fmt, out)
+        _emit_pairs(chunk, read(chunk[0], chunk[-1]), fmt, out)
 
 
 def _emit_pairs(indices, values, fmt, out):
@@ -54,13 +53,12 @@ def _emit_pairs(indices, values, fmt, out):
 
 def _cmd_seq(args, out):
     window = _window(args, 1)
-    if args.which == "p":
-        _emit_window(window, lambda chunk: map(sequences.p, repeat(args.s), chunk),
-                     args.format, out)
-        return 0
-    t = sequences.table(args.s)
-    read = t.values if args.which == "a" else t.d_values
-    _emit_window(window, lambda chunk: read(chunk[0], chunk[-1]), args.format, out)
+    if args.which == "p":  # the closed form, one bit-length run at a time
+        read = functools.partial(sequences.p_window, args.s)
+    else:
+        t = sequences.table(args.s)
+        read = t.values if args.which == "a" else t.d_values
+    _emit_window(window, read, args.format, out)
     return 0
 
 
@@ -78,7 +76,7 @@ def _cmd_gf(args, out):
     else:  # A: the quotient form serves every s; verify checks it against gf_As
         gf = series.gf_A_from_D(s, args.order)
     coeffs = gf.coeffs  # a copy: read it once
-    _emit_window(range(args.order + 1), lambda chunk: coeffs[chunk.start : chunk.stop],
+    _emit_window(range(args.order + 1), lambda lo, hi: coeffs[lo : hi + 1],
                  args.format, out)
     return 0
 
@@ -98,15 +96,20 @@ def _cmd_codes(args, out):
         if args.nmax < 2:
             raise ValueError("nmax must be >= 2")
         limits.check("mtable cells (nmax - 1)**2", (args.nmax - 1) ** 2, "OUTPUT")
-        heights = range(1, args.nmax)
-        for n in range(2, args.nmax + 1):
-            row = [str(codes.M(n, h)) for h in heights]
-            out.write("\t".join([str(n)] + row) + "\n")
-    elif sub == "amax":
-        _emit_window(_window(args, 2), lambda chunk: map(codes.a_max, chunk),
+        # M(n, h) = a(0, n - h) on the feasible band ceil(lg n) <= h < n, else
+        # 0, so one walk over a(0, 1..nmax - 1) serves every row: row n reads
+        # it backwards from n - ceil(lg n) down to 1
+        nmax = args.nmax
+        cells = list(map(str, sequences.a_window(0, 1, nmax - 1)))
+        for n in range(2, nmax + 1):
+            low = (n - 1).bit_length()  # ceil(lg n)
+            out.write(f"{n}\t" + "0\t" * (low - 1) + "\t".join(cells[n - low - 1 :: -1])
+                      + "\t0" * (nmax - n) + "\n")
+    elif sub == "amax":  # a_max(n) = a(1, n - 1), by the walk
+        _emit_window(_window(args, 2), lambda lo, hi: sequences.a_window(1, lo - 1, hi - 1),
                      args.format, out)
-    elif sub == "bseq":
-        _emit_window(_window(args, 1), lambda chunk: map(codes.b_seq, chunk),
+    elif sub == "bseq":  # b_seq(n) = a(0, n), by the walk
+        _emit_window(_window(args, 1), functools.partial(sequences.a_window, 0),
                      args.format, out)
     return 0
 

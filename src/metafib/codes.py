@@ -7,7 +7,9 @@ bottom level; the greedy construction attains it, and two slices of the
 M table reproduce the shift-0 and shift-1 sequences.
 
 Closed form served, greedy verified: M(n, h) = a(0, n - h) on its feasible
-band, so M, a_max and b_seq are served by sequences.a0_fast in O(log n).
+band, so the point calls M, a_max and b_seq are served by
+sequences.a0_fast in O(log n), and the CLI's `codes mtable|amax|bseq`
+dumps by the leaf-label walk sequences.a_window over the same slices.
 The greedy bottom count _M_greedy stays the private route that ``verify``
 compares them with, beside the exhaustive M_oracle.
 """

@@ -10,13 +10,14 @@ N > OUTPUT itself; ``cli`` checks only its windows, ``mtable`` cells and
 # word or leaf stream, a greedy code, a series' order (order + 1
 # coefficients), a shift table's s + 3 seed values, a first part's s
 # choices or a part's position i (2**i + s - 1).  At the limit a
-# `seq a --s 1` dump takes 1.7-2.5 s and 32 MB peak RSS: its shift table
-# at 4 bytes a value, and one chunk of 2**12 values formatted at a time.
-# `word runs --terms 2097151` (2**22 - 23 characters) takes 0.3-0.5 s and
-# 52 MB.  M, a_max and b_seq are closed forms that build nothing, so
-# `codes mtable --nmax 2049`, `codes amax --to 2**22 + 1` and
-# `codes bseq --to 2**22` take 1.8-3.3 s and 17 MB each; D_n and E_n
-# (2**(n+1) - 1 characters) stop at n = 21.
+# `seq a --s 1` dump takes ~1.0 s and 33 MB peak RSS: its shift table at
+# 4 bytes a value, and one chunk of 2**12 values formatted at a time.
+# `seq p --s 1` reads the closed form a bit-length run at a time, and
+# `codes amax --to 2**22 + 1` and `codes bseq --to 2**22` one leaf-label
+# walk a chunk: ~0.43 s and 17 MB each; `codes mtable --nmax 2049` reads
+# one walk over a(0, 1..2048) backwards per row: 0.02 s and 17 MB.
+# `word runs --terms 2097151` (2**22 - 23 characters) takes ~0.2 s and
+# 52 MB.  D_n and E_n (2**(n+1) - 1 characters) stop at n = 21.
 OUTPUT = 1 << 22
 GF_ORDER = 1 << 16  # largest `gf --order`: under 0.05 s and 17-20 MB, any series
 # Largest target counts_up_to builds its O(limit) lists for: s = 1 takes

@@ -13,11 +13,16 @@ indices).  One engine, ``SequenceTable``, grows it for each shift s;
 ``d`` is a difference of ``a`` and ``p`` has a closed form.  The public
 ``a`` reads the shared tables only for s + 1 < n <= ``_MEMO_TOP``, so no
 point query grows a table past that bound or builds one for the s + 1 base
-values; elsewhere it answers in closed form.  The public ``d`` is the leaf
-test p(s, a(s, n)) == n at every n and reads no table.  ``SequenceTable``
-itself is uncapped and stays the oracle.  Everything else in this module is
-a faster or structurally different route to the same numbers so that they
-can be cross-checked.
+values; elsewhere it answers in closed form, by ``a0_fast``'s peels.  The
+public ``d`` is the leaf test p(s, a(s, n)) == n at every n and reads no
+table.  ``SequenceTable`` itself is uncapped and stays the oracle.
+Everything else in this module is a faster or structurally different route
+to the same numbers so that they can be cross-checked.
+
+The ``seq p`` and ``codes`` range dumps read two window kernels instead of
+one call per value: ``p_window`` builds the closed form of ``p`` a run of
+equal bit lengths at a time, and ``a_window`` walks the leaf labels of its
+window from the two closed-form counts at its ends.
 
 Both memos hold machine integers from the stdlib ``array`` module, not
 boxed ints: a table takes 4 bytes a value, and the ``as_descent`` memo is
@@ -30,6 +35,7 @@ from __future__ import annotations
 import operator
 import threading
 from array import array
+from itertools import accumulate
 
 from . import limits
 
@@ -179,6 +185,48 @@ def p(s: int, n: int) -> int:
         raise ValueError("p(s, n) needs s >= 0, n >= 1")
     k = n - 1
     return 1 + 2 * k - k.bit_count() + s * k.bit_length()
+
+
+def p_window(s: int, lo: int, hi: int) -> list:
+    """Values p(s, lo..hi) as a list, the closed form of ``p`` one run of
+    k = n - 1 with one bit length b at a time: the run's 1 + s*b + 2k form
+    a stepped range, and its popcounts are subtracted in one pass."""
+    if s < 0 or lo < 1:
+        raise ValueError("p(s, n) needs s >= 0, n >= 1")
+    limits.check("p_window values", hi - lo + 1, "OUTPUT")
+    out = []
+    k = lo - 1
+    while k < hi:
+        b = k.bit_length()
+        stop = min(hi, 1 << b)  # every k below 2**b has bit length b
+        first = 1 + s * b + 2 * k
+        out += map(operator.sub, range(first, first + 2 * (stop - k), 2),
+                   map(int.bit_count, range(k, stop)))
+        k = stop
+    return out
+
+
+def a_window(s: int, lo: int, hi: int) -> list:
+    """Values a(s, lo..hi) as a list, by one walk over the leaf labels.
+
+    The leaves numbered before + 1 .. a(s, hi), with before = a(s, lo - 1),
+    are exactly those labelled inside the window.  Their labels are marked
+    in a bytearray of the window, and the flags summed up from before give
+    every value.  At lo = 1 this holds too: the base value a(s, 0) = 1 is
+    not a leaf count, but label 1 is leaf 1, which it counts instead of a
+    mark.  O(window + log hi); it reads ``as_via_a0`` at the two ends and
+    ``p_window``, never a table.
+    """
+    if s < 0 or lo < 1:
+        raise ValueError("a_window needs s >= 0, lo >= 1")
+    limits.check("a_window values", hi - lo + 1, "OUTPUT")
+    before = as_via_a0(s, lo - 1)
+    flags = bytearray(hi - lo + 1)
+    for label in p_window(s, before + 1, as_via_a0(s, hi)):
+        flags[label - lo] = 1
+    out = list(accumulate(flags, initial=before))
+    del out[0]  # before itself, the count ahead of the window
+    return out
 
 
 def a0_fast(n: int) -> int:

@@ -77,27 +77,36 @@ def _check_steps(b):
                lambda i: f"a({s},{i+2}) - a({s},{i+1}) = {steps[i]}")
 
 
-def _sweep(route, t, lo, hi, detail):
-    """Compare route(n) with the table ``t`` for n = lo..hi, one window of
-    at most _WINDOW labels at a time; detail(n) names the first bad label.
-    The windows ascend, so an ascending sweep's memo (as_descent's) still
-    serves each next label."""
+def _sweep(read, t, lo, hi, detail):
+    """Compare read(first, last), the values at first..last, with the table
+    ``t`` for n = lo..hi, one window of at most _WINDOW labels at a time;
+    detail(n) names the first bad label.  The windows ascend, so an
+    ascending sweep's memo (as_descent's) still serves each next label."""
     for start in range(lo, hi + 1, _WINDOW):
         stop = min(start + _WINDOW, hi + 1)
-        _agree(list(map(route, range(start, stop))), t.values(start, stop - 1),
+        _agree(read(start, stop - 1), t.values(start, stop - 1),
                lambda i: detail(start + i))
+
+
+def _per_value(route):
+    """A window reader that calls route(n) once per label."""
+    return lambda first, last: map(route, range(first, last + 1))
 
 
 def _check_evaluators(b):
     top = b["n_eval"]
     for s in range(b["shift_max"] + 1):
         t = sequences.table(s)
-        _sweep(partial(sequences.as_via_a0, s), t, 1, top,
+        _sweep(_per_value(partial(sequences.as_via_a0, s)), t, 1, top,
                lambda n: f"as_via_a0({s},{n})")
-        _sweep(partial(sequences.as_descent, s), t, 1, top,
+        _sweep(_per_value(partial(sequences.as_descent, s)), t, 1, top,
                lambda n: f"as_descent({s},{n})")
-    _sweep(sequences.a0_fast, sequences.table(0), 0, top, lambda n: f"a0_fast({n})")
-    _sweep(sequences.a1_fast, sequences.table(1), 1, top, lambda n: f"a1_fast({n})")
+        _sweep(partial(sequences.a_window, s), t, 1, top,
+               lambda n: f"a_window({s},{n})")
+    _sweep(_per_value(sequences.a0_fast), sequences.table(0), 0, top,
+           lambda n: f"a0_fast({n})")
+    _sweep(_per_value(sequences.a1_fast), sequences.table(1), 1, top,
+           lambda n: f"a1_fast({n})")
 
 
 def _check_tree_flags(b):
@@ -235,7 +244,7 @@ def _check_p_gf(b):
     for s in range(min(b["shift_max"], 4) + 1):
         gf = series.gf_Ps(s, order)
         _need(gf.coefficient(0) == 1, f"p gf constant s={s}")
-        _agree(map(gf.coefficient, orders), [sequences.p(s, n) for n in orders],
+        _agree(map(gf.coefficient, orders), sequences.p_window(s, 1, order),
                lambda i: f"p gf s={s} n={i+1}")
 
 

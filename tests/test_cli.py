@@ -167,6 +167,35 @@ def test_codes_mtable_zeros_where_undefined(capsys):
     assert table[5] == [0, 0, 2, 1]  # h = 1..4
 
 
+@pytest.mark.parametrize("nmax", [2, 3, 17, 130, 300])
+def test_codes_mtable_matches_m_and_the_greedy_cell_by_cell(capsys, nmax):
+    code, out, _ = run_cli(capsys, "codes", "mtable", "--nmax", str(nmax))
+    assert code == 0
+    rows = [list(map(int, line.split("\t"))) for line in out.splitlines()]
+    assert [row[0] for row in rows] == list(range(2, nmax + 1))
+    heights = range(1, nmax)
+    for n, *cells in rows:
+        assert cells == [codes.M(n, h) for h in heights], n
+        assert cells == [codes._M_greedy(n, h) for h in heights], n
+        # the feasible band's edges: h = ceil(lg n) and h = n - 1 (M = a(0, 1) = 1)
+        low = (n - 1).bit_length()
+        assert cells[low - 1] == sq.a0_fast(n - low) > 0 and cells[n - 2] == 1
+        assert low == 1 or cells[low - 2] == 0
+    for h in range(1, nmax.bit_length()):  # n = 2**h, the full tree at height h
+        assert rows[(1 << h) - 2][h] == 1 << (h - 1)
+
+
+def test_codes_amax_bseq_windows_at_huge_n(capsys):
+    # 10**17, and across 2**57 + 1, where ceil(lg n) in a_max steps up
+    for sub, value in (("amax", codes.a_max), ("bseq", codes.b_seq)):
+        for lo in (10**17, 2**57 - 150):
+            window = range(lo, lo + 301)
+            code, out, _ = run_cli(capsys, "codes", sub, "--from", str(lo),
+                                   "--to", str(window[-1]))
+            assert code == 0
+            assert list(map(int, out.split())) == list(map(value, window)), (sub, lo)
+
+
 def test_codes_amax_bridge(capsys):
     code, out, _ = run_cli(capsys, "codes", "amax", "--to", "20")
     assert code == 0

@@ -128,7 +128,8 @@ def _mtable_last_row(n):
     return "\t".join(map(str, [n, *cells]))
 
 
-# The codes dumps at their limits; served in closed form, each takes ~3 s.
+# The codes dumps at their limits; served by the leaf-label walk, each takes
+# ~0.4 s (mtable 0.02 s).
 # (argv, lines printed, the last line)
 CODES_AT_LIMIT = [
     (["mtable", "--nmax", "2049"], 2048, _mtable_last_row(2049)),

@@ -563,3 +563,71 @@ def test_as_descent_in_random_order_keeps_only_its_starts(fresh_memos):
         assert sq.as_descent(s, n) == _descent_per_step(s, n, reference), (s, n)
     assert _kept_starts(sq._descent_memo) == reference
     assert max(reference) <= top
+
+
+# The window kernels.  p_window's runs break where k = n - 1 changes its bit
+# length; a_window's walk starts from the count before its window, which a
+# block start (the first label of a path run) or the base values can upset.
+WINDOW_SHIFTS = [*range(7), 2**23, 10**18]
+
+
+def _bit_length_edges(top_j):
+    """Windows whose lo - 1 or hi - 1 is 2**j - 1 or 2**j, the last and first
+    k of a bit length, and one-label windows there."""
+    for j in range(top_j + 1):
+        for n in (2**j, 2**j + 1):
+            yield n, n + 37
+            yield max(1, n - 37), n
+            yield n, n
+
+
+def _block_starts(s, lo, hi):
+    """First labels of blocks 1, 2, ... (each a path run of s labels, then a
+    subtree root) between lo and hi."""
+    h = 1
+    while (start := (1 << h) + (s - 1) * h - s + 1) <= hi:
+        if start >= lo:
+            yield start
+        h += 1
+
+
+def test_p_window_matches_point_p():
+    for s in WINDOW_SHIFTS:
+        windows = [(1, 1), (1, 2), (1, 300), *_bit_length_edges(62),
+                   (10**18 - 50, 10**18 + 50), (10**18, 10**18)]
+        for lo, hi in windows:
+            assert sq.p_window(s, lo, hi) == [sq.p(s, n) for n in range(lo, hi + 1)], \
+                (s, lo, hi)
+
+
+def test_a_window_matches_the_table():
+    for s in range(7):
+        t = sq.table(s)
+        windows = [(1, 1), (1, 2), (1, 5000), (4000, 9000)]
+        windows += [(lo, hi) for lo in range(1, s + 3) for hi in (lo, s + 2, s + 3, s + 40)]
+        for start in _block_starts(s, 2, 9000):
+            windows += [(start - 1, start), (start, start), (start, start + s),
+                        (max(1, start - 5), start + s + 5), (start + s, start + s + 1)]
+        windows += [(n, n) for n in range(1, 300)]
+        for lo, hi in windows:
+            assert sq.a_window(s, lo, hi) == t.values(lo, hi), (s, lo, hi)
+
+
+def test_a_window_at_huge_n_matches_the_descent():
+    rng = random.Random(21)
+    for s in (0, 1, 6, 2**23, 10**17, 10**18):
+        starts = [10**17, 10**18 - 200, rng.randrange(10**17, 10**18)]
+        starts += [start - 3 for start in _block_starts(s, 10**17, 10**18 + 10)]
+        for lo in starts:
+            window = range(lo, lo + 201)
+            assert (sq.a_window(s, lo, window[-1])
+                    == [sq.as_descent(s, n) for n in window]), (s, lo)
+
+
+def test_windows_reject_bad_arguments():
+    for kernel in (sq.p_window, sq.a_window):
+        for s, lo in ((-1, 5), (2, 0), (2, -3)):
+            with pytest.raises(ValueError):
+                kernel(s, lo, lo + 3)
+        with pytest.raises(ValueError, match=r"\(limits\.OUTPUT\)"):
+            kernel(0, 1, limits.OUTPUT + 1)

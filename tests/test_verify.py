@@ -43,6 +43,48 @@ def test_evaluator_window_edges_name_the_bad_label(monkeypatch, name, bad, text)
     assert failed == [f"FAIL  closed-form evaluators match the recurrence: {text}"]
 
 
+@pytest.mark.parametrize("delta", [1, -1])
+def test_walk_start_off_by_one_fails_the_evaluators(monkeypatch, delta):
+    # plant the error in the walk's count before one window, a(2, 4096), read
+    # only by the a_window call for the window 4097..5000; label 4097 is no
+    # leaf, so even a count one too high shows from there on
+    real_walk, real_count = sequences.a_window, sequences.as_via_a0
+    assert sequences.d(2, 4097) == 0
+
+    def planted(s, lo, hi):
+        if (s, lo) != (2, 4097):
+            return real_walk(s, lo, hi)
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(sequences, "as_via_a0",
+                          lambda t, n: real_count(t, n) + delta * (n == lo - 1))
+            return real_walk(s, lo, hi)
+
+    monkeypatch.setattr(sequences, "a_window", planted)
+    ok, lines = run_quick()
+    assert not ok
+    failed = [line for line in lines if not line.startswith("PASS")]
+    assert failed == ["FAIL  closed-form evaluators match the recurrence: a_window(2,4097)"]
+
+
+def test_p_window_error_at_a_bit_length_boundary_fails_the_p_gf(monkeypatch):
+    # p(1, 129) is the first value whose k = 128 has 8 bits; the walk marks
+    # the leaf labels p_window gives, so it fails at that label as well
+    real = sequences.p_window
+
+    def planted(s, lo, hi):
+        return [v + (s == 1 and n == 129) for n, v in zip(range(lo, hi + 1), real(s, lo, hi))]
+
+    monkeypatch.setattr(sequences, "p_window", planted)
+    ok, lines = run_quick()
+    assert not ok
+    failed = [line for line in lines if not line.startswith("PASS")]
+    assert failed == [
+        "FAIL  closed-form evaluators match the recurrence: "
+        f"a_window(1,{sequences.p(1, 129)})",
+        "FAIL  leaf-position generating function: p gf s=1 n=129",
+    ]
+
+
 def test_evaluator_sweep_memory_does_not_grow_with_the_sweep(monkeypatch):
     # Both sides read lists built beforehand, so all that is traced is what
     # the comparison itself holds; traced, the routes' and the table's own
