@@ -53,11 +53,11 @@ def _emit_pairs(indices, values, fmt, out):
 
 def _cmd_seq(args, out):
     window = _window(args, 1)
-    if args.which == "p":  # the closed form, one bit-length run at a time
-        read = functools.partial(sequences.p_window, args.s)
-    else:
-        t = sequences.table(args.s)
-        read = t.values if args.which == "a" else t.d_values
+    if args.which == "a":  # the shift table, grown to the window's end
+        read = sequences.table(args.s).values
+    else:  # the closed form of p, or the leaf labels marked
+        kernel = sequences.p_window if args.which == "p" else sequences.d_window
+        read = functools.partial(kernel, args.s)
     _emit_window(window, read, args.format, out)
     return 0
 

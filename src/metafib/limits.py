@@ -9,15 +9,15 @@ N > OUTPUT itself; ``cli`` checks only its windows, ``mtable`` cells and
 # Most values one call builds or prints: a range dump or `mtable` cells, a
 # word or leaf stream, a greedy code, a series' order (order + 1
 # coefficients), a shift table's s + 3 seed values, a first part's s
-# choices or a part's position i (2**i + s - 1).  At the limit a
-# `seq a --s 1` dump takes ~1.0 s and 33 MB peak RSS: its shift table at
-# 4 bytes a value, and one chunk of 2**12 values formatted at a time.
-# `seq p --s 1` reads the closed form a bit-length run at a time, and
-# `codes amax --to 2**22 + 1` and `codes bseq --to 2**22` one leaf-label
-# walk a chunk: ~0.43 s and 17 MB each; `codes mtable --nmax 2049` reads
-# one walk over a(0, 1..2048) backwards per row: 0.02 s and 17 MB.
-# `word runs --terms 2097151` (2**22 - 23 characters) takes ~0.2 s and
-# 52 MB.  D_n and E_n (2**(n+1) - 1 characters) stop at n = 21.
+# choices or a part's position i (2**i + s - 1).  At the limit, in one run
+# on a day the host ran ~2.6x slower than for the other rows: `seq a --s 1`
+# takes 2.6 s and 33 MB peak RSS (its shift table at 4 bytes a value, one
+# 2**12-value chunk formatted at a time); `seq p --s 1` reads the closed
+# form a bit-length run at a time (0.88 s), `seq d --s 1` (0.81 s) and
+# `codes amax|bseq` at 2**22 values (1.09 s) one leaf-label walk a chunk,
+# 17 MB each, and `codes mtable --nmax 2049` one walk over a(0, 1..2048)
+# read backwards per row (0.06 s).  `word runs --terms 2097151` (2**22 - 23
+# characters) takes 0.5 s and 52 MB.  D_n and E_n stop at n = 21.
 OUTPUT = 1 << 22
 GF_ORDER = 1 << 16  # largest `gf --order`: under 0.05 s and 17-20 MB, any series
 # Largest target counts_up_to builds its O(limit) lists for: s = 1 takes

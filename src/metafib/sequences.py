@@ -10,7 +10,7 @@ preorder labels.  Three sequences describe it:
 
 ``a`` satisfies a nested recurrence (its own values feed back into its
 indices).  One engine, ``SequenceTable``, grows it for each shift s;
-``d`` is a difference of ``a`` and ``p`` has a closed form.  The public
+``p`` has a closed form, and ``d`` is 1 exactly at its labels.  The public
 ``a`` reads the shared tables only for s + 1 < n <= ``_MEMO_TOP``, so no
 point query grows a table past that bound or builds one for the s + 1 base
 values; elsewhere it answers in closed form, by ``a0_fast``'s peels.  The
@@ -19,10 +19,10 @@ table.  ``SequenceTable`` itself is uncapped and stays the oracle.
 Everything else in this module is a faster or structurally different route
 to the same numbers so that they can be cross-checked.
 
-The ``seq p`` and ``codes`` range dumps read two window kernels instead of
+The ``seq d|p`` and ``codes`` range dumps read window kernels instead of
 one call per value: ``p_window`` builds the closed form of ``p`` a run of
-equal bit lengths at a time, and ``a_window`` walks the leaf labels of its
-window from the two closed-form counts at its ends.
+equal bit lengths at a time, ``d_window`` marks those labels inside its
+window, and ``a_window`` sums the marks.
 
 Both memos hold machine integers from the stdlib ``array`` module, not
 boxed ints: a table takes 4 bytes a value, and the ``as_descent`` memo is
@@ -125,21 +125,13 @@ class SequenceTable:
         return self._a[n]
 
     def values(self, lo: int, hi: int) -> list:
-        """Values a(lo..hi) as a list (a copy; safe to mutate); one growth."""
+        """Values a(lo..hi) as a list (a copy; safe to mutate); [] if hi < lo."""
         if lo < 0:
             raise ValueError("a(s, n) needs n >= 0")
+        if hi < lo:
+            return []
         self.extend_to(hi)
         return self._a[lo : hi + 1].tolist()
-
-    def d_values(self, lo: int, hi: int) -> list:
-        """Values d(lo..hi), differences of one window ``values(lo - 1, hi)``."""
-        if lo < 1:
-            raise ValueError("d(s, n) needs n >= 1")
-        window = self.values(lo - 1, hi)
-        out = list(map(operator.sub, window[1:], window))
-        if lo == 1 and out:
-            out[0] = 1  # label 1 is a leaf; a(0) = a(1) = 1 by the base values
-        return out
 
 
 # One shared table per shift s.
@@ -206,26 +198,31 @@ def p_window(s: int, lo: int, hi: int) -> list:
     return out
 
 
-def a_window(s: int, lo: int, hi: int) -> list:
-    """Values a(s, lo..hi) as a list, by one walk over the leaf labels.
-
-    The leaves numbered before + 1 .. a(s, hi), with before = a(s, lo - 1),
-    are exactly those labelled inside the window.  Their labels are marked
-    in a bytearray of the window, and the flags summed up from before give
-    every value.  At lo = 1 this holds too: the base value a(s, 0) = 1 is
-    not a leaf count, but label 1 is leaf 1, which it counts instead of a
-    mark.  O(window + log hi); it reads ``as_via_a0`` at the two ends and
-    ``p_window``, never a table.
+def d_window(s: int, lo: int, hi: int) -> list:
+    """Values d(s, lo..hi) as a list: the labels of leaves a(s, lo - 1) + 1
+    .. a(s, hi), exactly the leaves inside the window, marked in a bytearray
+    of it.  At lo = 1 the marks start at leaf 1, label 1, since the base
+    value a(s, 0) = 1 is no leaf count.  Empty when hi < lo.  O(window +
+    log hi); reads ``as_via_a0`` and ``p_window``, never a table.
     """
     if s < 0 or lo < 1:
-        raise ValueError("a_window needs s >= 0, lo >= 1")
-    limits.check("a_window values", hi - lo + 1, "OUTPUT")
-    before = as_via_a0(s, lo - 1)
+        raise ValueError("d_window needs s >= 0, lo >= 1")
+    limits.check("d_window values", hi - lo + 1, "OUTPUT")
+    if hi < lo:
+        return []
     flags = bytearray(hi - lo + 1)
-    for label in p_window(s, before + 1, as_via_a0(s, hi)):
+    first = as_via_a0(s, lo - 1) + 1 if lo > 1 else 1
+    for label in p_window(s, first, as_via_a0(s, hi)):
         flags[label - lo] = 1
-    out = list(accumulate(flags, initial=before))
-    del out[0]  # before itself, the count ahead of the window
+    return list(flags)
+
+
+def a_window(s: int, lo: int, hi: int) -> list:
+    """Values a(s, lo..hi) as a list: the running sum of ``d_window``, which
+    checks the arguments, from a(s, lo - 1), or from 0 at lo = 1."""
+    flags = d_window(s, lo, hi)
+    out = list(accumulate(flags, initial=as_via_a0(s, lo - 1) if lo > 1 else 0))
+    del out[0]  # the count ahead of the window
     return out
 
 

@@ -112,8 +112,8 @@ def _check_evaluators(b):
 def _check_tree_flags(b):
     top = b["n_seq"]
     for s in range(b["shift_max"] + 1):
-        _agree([trees.is_leaf_oracle(s, n) for n in range(1, top + 1)],
-               sequences.table(s).d_values(1, top),
+        _agree(accumulate(trees.is_leaf_oracle(s, n) for n in range(1, top + 1)),
+               sequences.table(s).values(1, top),
                lambda i: f"leaf flag s={s} n={i+1}")
 
 
@@ -146,7 +146,7 @@ def _check_p_differences(b):
 
 
 def _check_ones_count(b):
-    # flags from the leaf test d: d_values are differences of this same window
+    # flags from the leaf test d, summed against the recurrence
     top = b["n_seq"]
     for s in range(b["shift_max"] + 1):
         flags = [sequences.d(s, n) for n in range(1, top + 1)]
@@ -166,7 +166,7 @@ def _check_doubling(b):
 def _check_word_stream(b):
     for s in range(min(b["shift_max"], 4) + 1):
         w = words.dword_prefix(s, b["word_bits"])
-        _agree(map(int, w), sequences.table(s).d_values(1, b["word_bits"]),
+        _agree(accumulate(map(int, w)), sequences.table(s).values(1, b["word_bits"]),
                lambda i: f"stream bit s={s} n={i+1}")
         ones = [i + 1 for i, c in enumerate(w) if c == "1"]
         _agree([sequences.p(s, rank) for rank in range(1, len(ones) + 1)], ones,
@@ -214,7 +214,7 @@ def _check_d_gf(b):
     orders = range(1, order + 1)
     for s in range(min(b["shift_max"], 4) + 1):
         ds = series.gf_Ds_sum(s, order)
-        _agree(map(ds.coefficient, orders), sequences.table(s).d_values(1, order),
+        _agree(accumulate(map(ds.coefficient, orders)), sequences.table(s).values(1, order),
                lambda i: f"d gf s={s} n={i+1}")
         _need(series.gf_Ds_nested(s, order // 2) == series.gf_Ds_sum(s, order // 2),
               f"nested form s={s}")

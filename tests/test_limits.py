@@ -10,7 +10,7 @@ value deltas is one, by the CLI's exit-code contract.  `verify` takes no
 integer option.
 
 Not swept: values exactly at a limit, which are accepted.  The dumps at
-their limits are run on their own: `seq a|p --to limits.OUTPUT` under a far
+their limits are run on their own: `seq a|d|p --to limits.OUTPUT` under a far
 tighter cap, and `codes mtable --nmax 2049`, `codes amax --to 2**22 + 1`
 and `codes bseq --to 2**22` under the sweep's 1 GiB cap.
 """
@@ -32,7 +32,7 @@ BFILE = os.path.join(os.path.dirname(__file__), "data", "bA006949.txt")
 # (fixed arguments, swept option, largest accepted value or None, its limit).
 # A swept --from moves --to along with it, so the window holds one value.
 SWEEP = [
-    *[(["seq", w, "--to", "5"], "--s", OUT - 3 if w != "p" else None, "OUTPUT")
+    *[(["seq", w, "--to", "5"], "--s", OUT - 3 if w == "a" else None, "OUTPUT")
       for w in "adp"],
     *[(["seq", w, "--to", "5"], "--from", None, None) for w in "adp"],
     *[(["seq", w], "--to", OUT, "OUTPUT") for w in "adp"],
@@ -64,10 +64,10 @@ SWEEP = [
     (["oeis", "--bfile", BFILE, "--seq", "a", "--s", "1"], "--value-delta", None, None),
 ]
 
-# A seq a|d window at or above 10**12 still grows the shift table up to its
+# A seq a window at or above 10**12 still grows the shift table up to its
 # last index (ROADMAP item 3), so at 10**18 it runs until it is stopped.
 TABLE_WINDOW = pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
-                                 reason="seq a|d windows grow the table to --to")
+                                 reason="seq a windows grow the table to --to")
 
 
 def _cases():
@@ -81,7 +81,7 @@ def _cases():
             if option == "--from":
                 argv += ["--to", str(value)]
             refused = name if limit is not None and value > limit else None
-            hole = fixed[0] == "seq" and fixed[1] != "p" and option == "--from" and value == HUGE
+            hole = fixed[:2] == ["seq", "a"] and option == "--from" and value == HUGE
             yield pytest.param(argv, refused, 2 if hole else 10,
                                marks=[TABLE_WINDOW] if hole else [],
                                id=f"{shown} {option}={label}")
@@ -104,13 +104,14 @@ def test_extreme_argument_exits_cleanly(argv, refused, timeout):
 
 
 # A range dump is written in chunks, so its memory is set by the shift table
-# (4 bytes a value) and one 2**12-value chunk's strings, not by the window:
-# a `seq a` dump at the limit peaks at ~37 MB of address space.  Formatted
-# in one piece, the same dump took ~550 MB (Python 3.11, x86-64 Linux).
+# (4 bytes a value; `seq a` only) and one 2**12-value chunk's strings, not by
+# the window: a `seq a` dump at the limit peaks at ~37 MB of address space.
+# Formatted in one piece, the same dump took ~550 MB (Python 3.11, x86-64
+# Linux).
 DUMP_CAP = 256 << 20
 
 
-@pytest.mark.parametrize("which", ["a", "p"])
+@pytest.mark.parametrize("which", ["a", "d", "p"])
 def test_seq_dump_at_the_limit_fits_a_small_address_space(which):
     result = run_metafib("seq", which, "--s", "1", "--to", str(OUT), timeout=60,
                          preexec_fn=functools.partial(cap_child_memory, DUMP_CAP))
@@ -118,6 +119,17 @@ def test_seq_dump_at_the_limit_fits_a_small_address_space(which):
     assert result.stdout.count("\n") == OUT
     last = getattr(sequences, which)(1, OUT)
     assert result.stdout.endswith(f"\n{last}\n")
+
+
+def test_seq_d_window_at_huge_n_matches_the_tree():
+    # the leaf flags of a window at 10**17 are marked from two closed-form
+    # counts, with no table grown to it
+    lo = 10**17
+    result = run_metafib("seq", "d", "--s", "3", "--from", str(lo), "--to", str(lo + 15),
+                         "--format", "tsv", timeout=30, preexec_fn=cap_child_memory)
+    assert result.returncode == 0, result.stderr[-500:]
+    assert result.stdout == "".join(f"{n}\t{int(trees.locate(3, n).is_leaf)}\n"
+                                    for n in range(lo, lo + 16))
 
 
 def _mtable_last_row(n):

@@ -2,6 +2,8 @@ import random
 import sys
 import time
 from array import array
+from functools import partial
+from itertools import accumulate
 
 import pytest
 
@@ -234,6 +236,15 @@ def test_shift_table_seed_is_guarded(fresh_memos):
     assert sq.d(10**18, 1) == 1 and sq.d(10**18, 2) == 0  # the leaf test needs no table
 
 
+def _d_from_table(t, lo, hi):
+    """d(lo..hi) off the recurrence: differences of a(lo - 1..hi), with 0
+    leaves before label 1 (a(0) = 1 is a base value, not a leaf count)."""
+    window = t.values(lo - 1, hi)
+    if lo == 1:
+        window[0] = 0
+    return [y - x for x, y in zip(window, window[1:])]
+
+
 def test_values_and_d_values_match_per_value():
     for s in range(7):
         t = sq.SequenceTable(s)
@@ -241,17 +252,16 @@ def test_values_and_d_values_match_per_value():
                        (200, 199)]:
             assert t.values(lo, hi) == [sq.a(s, n) for n in range(lo, hi + 1)]
             if lo >= 1:
-                assert t.d_values(lo, hi) == [trees.is_leaf_oracle(s, n)
-                                              for n in range(lo, hi + 1)]
-        assert t.d_values(1, 1) == [1]  # d(1) = 1, though a(1) - a(0) = 0
+                assert _d_from_table(t, lo, hi) == [trees.is_leaf_oracle(s, n)
+                                                    for n in range(lo, hi + 1)]
+        assert list(accumulate(trees.is_leaf_oracle(s, n) for n in range(1, 301))) \
+            == t.values(1, 300)
 
 
 def test_values_reject_negative_start():
     t = sq.SequenceTable(1)
     with pytest.raises(ValueError):
         t.values(-1, 5)
-    with pytest.raises(ValueError):
-        t.d_values(0, 5)
 
 
 def test_values_copy_is_safe_to_mutate():
@@ -283,7 +293,7 @@ def test_a_and_d_match_the_table_across_the_memo_bound():
         oracle = sq.SequenceTable(s)
         window = range(TOP - 5000, TOP + 5001)
         assert [sq.a(s, n) for n in window] == oracle.values(TOP - 5000, TOP + 5000)
-        assert [sq.d(s, n) for n in window] == oracle.d_values(TOP - 5000, TOP + 5000)
+        assert [sq.d(s, n) for n in window] == _d_from_table(oracle, TOP - 5000, TOP + 5000)
 
 
 def test_a_and_d_at_huge_n_match_descent_and_tree():
@@ -425,7 +435,7 @@ def test_memos_hold_machine_integers(fresh_memos):
     assert t._a.typecode == "i" and t._a.itemsize == 4
     with pytest.raises(OverflowError):
         array(t._a.typecode).append(2**31)
-    assert type(t.values(0, 10)) is list and type(t.d_values(1, 10)) is list
+    assert type(t.values(0, 10)) is list
 
 
 # The step-by-step algorithms the fast evaluators replaced, kept as their
@@ -566,8 +576,9 @@ def test_as_descent_in_random_order_keeps_only_its_starts(fresh_memos):
 
 
 # The window kernels.  p_window's runs break where k = n - 1 changes its bit
-# length; a_window's walk starts from the count before its window, which a
-# block start (the first label of a path run) or the base values can upset.
+# length; d_window's walk (and so a_window, its running sum) starts from the
+# count before its window, which a block start (the first label of a path
+# run) or the base values can upset.
 WINDOW_SHIFTS = [*range(7), 2**23, 10**18]
 
 
@@ -608,9 +619,12 @@ def test_a_window_matches_the_table():
         for start in _block_starts(s, 2, 9000):
             windows += [(start - 1, start), (start, start), (start, start + s),
                         (max(1, start - 5), start + s + 5), (start + s, start + s + 1)]
+        for edge in (1 << 12, 1 << 13):  # dump chunk and verify window edges
+            windows += [(edge - 3, edge + 3), (edge, edge), (edge + 1, edge + (1 << 12))]
         windows += [(n, n) for n in range(1, 300)]
         for lo, hi in windows:
             assert sq.a_window(s, lo, hi) == t.values(lo, hi), (s, lo, hi)
+            assert sq.d_window(s, lo, hi) == _d_from_table(t, lo, hi), (s, lo, hi)
 
 
 def test_a_window_at_huge_n_matches_the_descent():
@@ -622,12 +636,27 @@ def test_a_window_at_huge_n_matches_the_descent():
             window = range(lo, lo + 201)
             assert (sq.a_window(s, lo, window[-1])
                     == [sq.as_descent(s, n) for n in window]), (s, lo)
+            assert (sq.d_window(s, lo, window[-1])
+                    == [trees.is_leaf_oracle(s, n) for n in window]), (s, lo)
 
 
 def test_windows_reject_bad_arguments():
-    for kernel in (sq.p_window, sq.a_window):
+    for kernel in (sq.p_window, sq.a_window, sq.d_window):
         for s, lo in ((-1, 5), (2, 0), (2, -3)):
             with pytest.raises(ValueError):
                 kernel(s, lo, lo + 3)
         with pytest.raises(ValueError, match=r"\(limits\.OUTPUT\)"):
             kernel(0, 1, limits.OUTPUT + 1)
+
+
+def test_windows_are_empty_below_their_start():
+    # every window reader returns [] for hi < lo, a negative hi included; a
+    # grown table must not read a negative hi as counted from its end
+    t = sq.SequenceTable(3)
+    t.extend_to(500)
+    readers = [t.values, *(partial(kernel, 3) for kernel in
+                           (sq.p_window, sq.a_window, sq.d_window))]
+    for lo in (1, 2, 50, 101, 10**18):
+        for hi in (lo - 1, lo - 2, lo - 100):
+            for read in readers:
+                assert read(lo, hi) == [], (read, lo, hi)

@@ -65,16 +65,14 @@ def test_label_ranges_partition():
 
 def test_oracle_matches_sequences_midrange():
     for s in range(5):
-        t = sq.table(s)
-        flags = t.d_values(1, 4000)
+        vals = sq.table(s).values(0, 4000)
         running = 0
         for n in range(1, 4001):
             flag = trees.is_leaf_oracle(s, n)
-            assert flag == flags[n - 1]
             running += flag
             if flag:
                 assert sq.p(s, running) == n
-            assert running == t.a(n)
+            assert running == vals[n]
 
 
 def test_scan_matches_prefix_function():
@@ -112,11 +110,12 @@ def test_scan_peak_memory_is_its_result(s):
 
 
 def test_adjacent_leaves_are_siblings():
-    # past the base range, two leaf flags in a row mean a left/right pair
+    # past the base range, two leaf flags in a row (a rises by 2 over two
+    # labels) mean a left/right pair
     for s in range(4):
-        flags = [None] + sq.table(s).d_values(1, 5000)
+        vals = sq.table(s).values(0, 5000)
         for n in range(s + 3, 5001):
-            if flags[n] == 1 and flags[n - 1] == 1:
+            if vals[n] - vals[n - 2] == 2:
                 right = trees.locate(s, n)
                 left = trees.locate(s, n - 1)
                 assert left.subtree == right.subtree

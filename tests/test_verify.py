@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from metafib import compositions, sequences, series, verify
+from metafib import compositions, sequences, series, trees, verify, words
 
 
 def run_quick():
@@ -118,6 +118,45 @@ def test_flipped_leaf_flag_fails_only_the_ones_count(monkeypatch):
     assert not ok
     failed = [line for line in lines if not line.startswith("PASS")]
     assert failed == ["FAIL  a equals the count of leaf flags: ones count s=2 n=77"]
+
+
+def _flip_stream_bit(real):
+    def planted(s, length):
+        w = real(s, length)
+        return w[:76] + "10"[int(w[76])] + w[77:] if s == 2 and length >= 77 else w
+    return planted
+
+
+def _flip_d_coefficient(real):
+    def planted(s, order):
+        gf = real(s, order)
+        if s == 2 and order >= 77:
+            gf._c[77] ^= 1
+        return gf
+    return planted
+
+
+# One wrong leaf flag at s = 2, n = 77 in each route the running-sum
+# identities read.  The stream is also the run-length identity's target, and
+# the quotient form of the leaf-count series sums the planted d series, so
+# those identities fail with it; no other does.
+@pytest.mark.parametrize("module, name, plant, failed", [
+    (trees, "is_leaf_oracle", lambda real: lambda s, n: real(s, n) ^ (s == 2 and n == 77),
+     ["tree oracle leaf flags equal d: leaf flag s=2 n=77"]),
+    (words, "dword_prefix", _flip_stream_bit,
+     ["word blocks rebuild the leaf stream: stream bit s=2 n=77",
+      "run-length factorization rebuilds the leaf stream: ruler factorization s=2"]),
+    (series, "gf_Ds_sum", _flip_d_coefficient,
+     ["leaf-stream generating functions (sum and nested): d gf s=2 n=77",
+      "leaf-count generating functions (quotient and product): a gf s=2 n=77"]),
+], ids=["tree-oracle", "word-stream", "d-series"])
+def test_wrong_leaf_flag_fails_its_running_sum_identity(monkeypatch, module, name, plant,
+                                                         failed):
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    ok, lines = run_quick()
+    assert not ok
+    assert [line for line in lines if not line.startswith("PASS")] == \
+        [f"FAIL  {text}" for text in failed]
 
 
 def test_d0_product_off_by_one_fails_only_the_leaf_stream_gf(monkeypatch):

@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import pytest
 
 from metafib import limits, trees, words
@@ -131,7 +133,7 @@ def test_stream_matches_leaf_oracle():
 def test_stream_matches_d_sequence():
     for s in range(5):
         w = words.dword_prefix(s, 5000)
-        assert list(map(int, w)) == sq.table(s).d_values(1, 5000)
+        assert list(accumulate(map(int, w))) == sq.table(s).values(1, 5000)
 
 
 def test_factorization_rebuilds_stream():

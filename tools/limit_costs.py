@@ -48,6 +48,7 @@ def _each(fn, calls):
 CASES = [
     ("import metafib.cli", lambda: 0),
     ("seq a --s 1 --to 2**22", _cli("seq", "a", "--s", 1, "--to", OUT)),
+    ("seq d --s 1 --to 2**22", _cli("seq", "d", "--s", 1, "--to", OUT)),
     ("seq p --s 1 --to 2**22", _cli("seq", "p", "--s", 1, "--to", OUT)),
     ("word runs --terms 2097151", _cli("word", "runs", "--terms", 2**21 - 1)),
     ("codes mtable --nmax 2049", _cli("codes", "mtable", "--nmax", 2049)),
