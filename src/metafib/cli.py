@@ -117,15 +117,17 @@ def _cmd_codes(args, out):
 def _cmd_word(args, out):
     which = args.word_cmd
     if which == "d":
-        out.write(words.word_D(args.n) + "\n")
+        word = words.word_D(args.n)
     elif which == "e":
-        out.write(words.word_E(args.n) + "\n")
+        word = words.word_E(args.n)
     elif which == "stream":
-        out.write(words.dword_prefix(args.s, args.length) + "\n")
+        word = words.dword_prefix(args.s, args.length)
     elif which == "runs":
-        out.write(words.ruler_factorization(args.s, args.terms) + "\n")
-    elif which == "morphism":
-        out.write(words.morphism_fixed_point(args.length) + "\n")
+        word = words.ruler_factorization(args.s, args.terms)
+    else:  # "morphism"
+        word = words.morphism_fixed_point(args.length)
+    out.write(word)  # then the newline: word + "\n" would copy the word
+    out.write("\n")
     return 0
 
 

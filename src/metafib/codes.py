@@ -1,7 +1,10 @@
 """Binary compact codes, the greedy deepest-level optimizer, and its bridges.
 
 A code is the non-increasing tuple of leaf levels of an extended binary
-tree; validity means the Kraft sum of 2**(-level) is exactly 1.  M(n, h)
+tree; validity means the Kraft sum of 2**(-level) is exactly 1.  The same
+code is its internal nodes per level, tau: tau_0 = 1, each count between 1
+and twice the one above (level_counts and counts_to_code convert), and
+enumerate_codes, the brute force behind M_oracle, walks every tau.  M(n, h)
 is the most sibling leaf pairs any n-leaf height-h code can park at the
 bottom level; the greedy construction attains it, and two slices of the
 M table reproduce the shift-0 and shift-1 sequences.
@@ -85,9 +88,9 @@ def counts_to_code(tau) -> tuple:
 def enumerate_codes(n: int, h: int | None = None) -> list:
     """Every code with n leaves (and height exactly h, if given), sorted.
 
-    Exhaustive search over non-increasing level tuples with exact Kraft
-    accounting in integer units, pruned where the remaining units cannot
-    be split into the pieces still allowed; n is capped at
+    Exhaustive over level counts: tau starts [1], each next count runs
+    over 1..2*tau[-1] until the n - 1 internal nodes are placed, and
+    counts_to_code turns each tau into its code; n is capped at
     limits.ENUM_CODES.
     """
     if n < 2:
@@ -95,35 +98,19 @@ def enumerate_codes(n: int, h: int | None = None) -> list:
     limits.check("enumerate_codes leaves n", n, "ENUM_CODES")
     if h is not None and h < 1:
         raise ValueError("height must be >= 1")
-    heights = [h] if h is not None else list(range(_ceil_lg(n), n))
     results = []
-    for top in heights:
-        if top < _ceil_lg(n) or top > n - 1:
-            continue
-        unit_total = 1 << top
 
-        def grow(count_left, cap, remaining, chosen):
-            if count_left == 0:
-                if remaining == 0:
-                    results.append(tuple(chosen))
-                return
-            for level in range(cap, 0, -1):
-                piece = 1 << (top - level)
-                # every later piece is a power of two >= piece, so piece must
-                # divide remaining; then no larger piece divides it either
-                if remaining % piece:
-                    break
-                # later pieces are at least this large
-                if piece * count_left > remaining:
-                    continue
-                if remaining > count_left * (1 << (top - 1)):
-                    break
-                chosen.append(level)
-                grow(count_left - 1, level, remaining - piece, chosen)
-                chosen.pop()
+    def grow(tau, left):
+        if left == 0:
+            if h is None or len(tau) == h:
+                results.append(counts_to_code(tau))
+        elif h is None or len(tau) < h <= len(tau) + left:
+            for count in range(1, min(2 * tau[-1], left) + 1):
+                tau.append(count)
+                grow(tau, left - count)
+                tau.pop()
 
-        # height exactly `top` means the first (largest) level equals it
-        grow(n - 1, top, unit_total - 1, [top])
+    grow([1], n - 2)
     return sorted(results)
 
 

@@ -16,15 +16,17 @@ N > OUTPUT itself; ``cli`` checks only its windows, ``mtable`` cells and
 # form a bit-length run at a time (0.88 s), `seq d --s 1` (0.81 s) and
 # `codes amax|bseq` at 2**22 values (1.09 s) one leaf-label walk a chunk,
 # 17 MB each, and `codes mtable --nmax 2049` one walk over a(0, 1..2048)
-# read backwards per row (0.06 s).  `word runs --terms 2097151` (2**22 - 23
-# characters) takes 0.5 s and 52 MB.  D_n and E_n stop at n = 21.
+# read backwards per row (0.06 s).  In one later run, `word runs --terms
+# 2097151` (2**22 - 23 characters) takes 0.44 s and 37 MB, and at
+# `--length 2**22` `word stream` 0.03 s and `word morphism` 0.10 s, 28-29 MB
+# each.  D_n and E_n stop at n = 21.
 OUTPUT = 1 << 22
 GF_ORDER = 1 << 16  # largest `gf --order`: under 0.05 s and 17-20 MB, any series
 # Largest target counts_up_to builds its O(limit) lists for: s = 1 takes
 # 1.9-2.5 s and 129-136 MB peak RSS; 2**22 took 9.6 s and 400 MB.
 COUNT = 1 << 20
-# Most leaves enumerate_codes (and so M_oracle) searches: its 1639 codes in
-# 0.02-0.03 s, and M_oracle(16, h) for every h in 0.03-0.05 s.
+# Most leaves enumerate_codes (and so M_oracle) walks: its 1639 codes in
+# 0.015 s, and M_oracle(16, h) for every h in 0.033 s (the word figures' run).
 ENUM_CODES = 16
 # Largest n enumerate_compositions lists: at most n compositions, every
 # s <= 64 together in 0.01 s.

@@ -50,11 +50,11 @@ def dword_prefix(s: int, length: int) -> str:
         total += s
         if total >= length:
             break
-        block = word_D(m)
+        block = word_D(m)[: length - total]  # slicing the join would copy the word
         parts.append(block)
         total += len(block)
         m += 1
-    return "".join(parts)[:length]
+    return "".join(parts)
 
 
 def ruler_factorization(s: int, terms: int) -> str:
@@ -66,11 +66,12 @@ def ruler_factorization(s: int, terms: int) -> str:
     if s < 0 or terms < 1:
         raise ValueError("ruler_factorization needs s >= 0, terms >= 1")
     limits.check("ruler_factorization length", sequences.p(s, terms + 1) - 1, "OUTPUT")
-    runs = list(map(sequences.ruler, range(1, terms + 1)))
+    # one string per run length, ruler(j) <= the bit length of terms
+    pieces = {run: "1" + "0" * (run - 1) for run in range(1, terms.bit_length() + 1)}
+    stream = list(map(pieces.__getitem__, map(sequences.ruler, range(1, terms + 1))))
     for i in range(terms.bit_length()):  # the powers of two up to terms
-        runs[(1 << i) - 1] += s
-    pieces = {run: "1" + "0" * (run - 1) for run in set(runs)}  # one per length
-    return "".join(map(pieces.__getitem__, runs))
+        stream[(1 << i) - 1] = "1" + "0" * (i + s)  # ruler(2**i) + s - 1 zeros
+    return "".join(stream)
 
 
 def morphism_fixed_point(length: int) -> str:

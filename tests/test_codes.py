@@ -120,9 +120,21 @@ def test_enumeration_sizes_match_A002572():
 
 
 def test_every_enumerated_code_is_valid():
-    for n in range(2, 11):
-        for code in enumerate_codes(n):
+    # every list `codes enumerate` can print: valid codes, none twice
+    for n in range(2, 17):
+        found = enumerate_codes(n)
+        assert len(set(found)) == len(found)
+        for code in found:
             assert validate_code(code) == code
+            assert len(code) == n
+
+
+def test_enumeration_at_a_height_is_the_full_list_filtered():
+    # a code's height is its first (largest) level; heights past n - 1 are empty
+    for n in range(2, 17):
+        found = enumerate_codes(n)
+        for h in range(1, n + 2):
+            assert enumerate_codes(n, h) == [code for code in found if code[0] == h]
 
 
 def test_greedy_tree_examples():

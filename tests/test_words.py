@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import accumulate
 
 import pytest
@@ -91,6 +92,19 @@ def test_ruler_factorization_matches_the_per_term_runs():
     reference = ruler_runs_per_term(s, 40)
     for terms in range(1, 41):
         assert words.ruler_factorization(s, terms) == reference[: sq.p(s, terms + 1) - 1]
+
+
+def test_ruler_factorization_peak_memory_per_term():
+    # one 8-byte slot per term for its piece, then the word itself: the
+    # join reads that list, no second list of the terms is built
+    terms = 2**17
+    tracemalloc.start()
+    try:
+        words.ruler_factorization(3, terms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * terms, peak / terms
 
 
 def test_morphism_values():

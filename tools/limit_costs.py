@@ -51,6 +51,8 @@ CASES = [
     ("seq d --s 1 --to 2**22", _cli("seq", "d", "--s", 1, "--to", OUT)),
     ("seq p --s 1 --to 2**22", _cli("seq", "p", "--s", 1, "--to", OUT)),
     ("word runs --terms 2097151", _cli("word", "runs", "--terms", 2**21 - 1)),
+    ("word stream --length 2**22", _cli("word", "stream", "--length", OUT)),
+    ("word morphism --length 2**22", _cli("word", "morphism", "--length", OUT)),
     ("codes mtable --nmax 2049", _cli("codes", "mtable", "--nmax", 2049)),
     ("codes amax --to 2**22 + 1", _cli("codes", "amax", "--to", OUT + 1)),
     ("codes bseq --to 2**22", _cli("codes", "bseq", "--to", OUT)),
