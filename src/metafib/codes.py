@@ -10,8 +10,8 @@ bottom level; the greedy construction attains it, and two slices of the
 M table reproduce the shift-0 and shift-1 sequences.
 
 Closed form served, greedy verified: M(n, h) = a(0, n - h) on its feasible
-band, so the point calls M, a_max and b_seq are served by
-sequences.a0_fast in O(log n), and the CLI's `codes mtable|amax|bseq`
+band, so the point calls M and b_seq are served by sequences.a0_fast and
+a_max by a1_fast in O(log n), and the CLI's `codes mtable|amax|bseq`
 dumps by the leaf-label walk sequences.a_window over the same slices.
 The greedy bottom count _M_greedy stays the private route that ``verify``
 compares them with, beside the exhaustive M_oracle.
@@ -75,14 +75,15 @@ def level_counts(code) -> list:
 
 
 def counts_to_code(tau) -> tuple:
-    """Inverse of level_counts: leaves at level i are 2*tau[i-1] - tau[i]."""
+    """Inverse of level_counts: leaves at level i are 2*tau[i-1] - tau[i],
+    deepest level first; n = sum(tau) + 1 is capped at limits.OUTPUT."""
     tau = validate_counts(tau)
+    limits.check("counts_to_code leaves sum(tau) + 1", sum(tau) + 1, "OUTPUT")
     h = len(tau)
-    levels = []
-    for i in range(1, h + 1):
-        nxt = tau[i] if i < h else 0
-        levels.extend([i] * (2 * tau[i - 1] - nxt))
-    return tuple(sorted(levels, reverse=True))
+    levels = [h] * (2 * tau[-1])
+    for i in range(h - 1, 0, -1):
+        levels += [i] * (2 * tau[i - 1] - tau[i])
+    return tuple(levels)
 
 
 def enumerate_codes(n: int, h: int | None = None) -> list:
@@ -230,12 +231,12 @@ def M_oracle(n: int, h: int) -> int:
 def a_max(n: int) -> int:
     """Best bottom pair count over all heights; attained at the minimum one.
 
-    Served in closed form as M(n, ceil(lg n)) = a(0, n - ceil(lg n));
+    Served in closed form as M(n, ceil(lg n)) = a(1, n - 1) by a1_fast;
     ``verify`` checks it on the greedy route.
     """
     if n < 2:
         raise ValueError("a_max needs n >= 2")
-    return sequences.a0_fast(n - _ceil_lg(n))
+    return sequences.a1_fast(n - 1)
 
 
 def b_seq(n: int) -> int:

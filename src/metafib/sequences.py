@@ -10,12 +10,12 @@ preorder labels.  Three sequences describe it:
 
 ``a`` satisfies a nested recurrence (its own values feed back into its
 indices).  One engine, ``SequenceTable``, grows it for each shift s;
-``p`` has a closed form, and ``d`` is 1 exactly at its labels.  The public
-``a`` reads the shared tables only for s + 1 < n <= ``_MEMO_TOP``, so no
-point query grows a table past that bound or builds one for the s + 1 base
-values; elsewhere it answers in closed form, by ``a0_fast``'s peels.  The
-public ``d`` is the leaf test p(s, a(s, n)) == n at every n and reads no
-table.  ``SequenceTable`` itself is uncapped and stays the oracle.
+``p`` has a closed form, and ``d`` is 1 exactly at its labels.  The shared
+tables of ``table()`` have two readers: the CLI's ``seq a`` dump, and the
+public ``a`` for s + 1 < n <= ``_MEMO_TOP`` only; elsewhere ``a`` answers
+in closed form, by ``a0_fast``'s peels.  The public ``d`` is the leaf test
+p(s, a(s, n)) == n at every n and reads no table.  ``SequenceTable``
+itself is uncapped and stays the oracle; ``verify`` builds its own per run.
 Everything else in this module is a faster or structurally different route
 to the same numbers so that they can be cross-checked.
 
@@ -140,7 +140,7 @@ _tables_lock = threading.Lock()
 
 
 def table(s: int) -> SequenceTable:
-    """Shared memo table for shift ``s``."""
+    """Shared memo table for shift s; only ``a`` and ``seq a`` read it."""
     with _tables_lock:
         t = _tables.get(s)
         if t is None:

@@ -5,6 +5,8 @@ prints one PASS/FAIL line per identity in a fixed order and reports
 whether everything held.  Depth presets: "quick" for a fast smoke pass,
 "full" for the complete ranges.
 
+The recurrence is each run's own: one ``SequenceTable`` a shift, handed
+to every check as ``b["table"]`` and dropped when ``run_all`` returns.
 The evaluator sweeps (10^5 labels a shift at full depth) are compared with
 the recurrence one window of at most ``_WINDOW`` labels at a time, so no
 sweep-long list of values is ever held.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate
 
 from . import codes, compositions, sequences, series, trees, words
@@ -71,7 +73,7 @@ def _bounds(depth: str) -> dict:
 
 def _check_steps(b):
     for s in range(b["shift_max"] + 1):
-        vals = sequences.table(s).values(0, b["n_seq"])
+        vals = b["table"](s).values(0, b["n_seq"])
         steps = [y - x for x, y in zip(vals[1:], vals[2:])]
         _agree([step in (0, 1) for step in steps], [True] * len(steps),
                lambda i: f"a({s},{i+2}) - a({s},{i+1}) = {steps[i]}")
@@ -96,16 +98,16 @@ def _per_value(route):
 def _check_evaluators(b):
     top = b["n_eval"]
     for s in range(b["shift_max"] + 1):
-        t = sequences.table(s)
+        t = b["table"](s)
         _sweep(_per_value(partial(sequences.as_via_a0, s)), t, 1, top,
                lambda n: f"as_via_a0({s},{n})")
         _sweep(_per_value(partial(sequences.as_descent, s)), t, 1, top,
                lambda n: f"as_descent({s},{n})")
         _sweep(partial(sequences.a_window, s), t, 1, top,
                lambda n: f"a_window({s},{n})")
-    _sweep(_per_value(sequences.a0_fast), sequences.table(0), 0, top,
+    _sweep(_per_value(sequences.a0_fast), b["table"](0), 0, top,
            lambda n: f"a0_fast({n})")
-    _sweep(_per_value(sequences.a1_fast), sequences.table(1), 1, top,
+    _sweep(_per_value(sequences.a1_fast), b["table"](1), 1, top,
            lambda n: f"a1_fast({n})")
 
 
@@ -113,7 +115,7 @@ def _check_tree_flags(b):
     top = b["n_seq"]
     for s in range(b["shift_max"] + 1):
         _agree(accumulate(trees.is_leaf_oracle(s, n) for n in range(1, top + 1)),
-               sequences.table(s).values(1, top),
+               b["table"](s).values(1, top),
                lambda i: f"leaf flag s={s} n={i+1}")
 
 
@@ -121,13 +123,13 @@ def _check_tree_counts(b):
     for s in range(b["shift_max"] + 1):
         scan = trees.leaf_count_scan(s, b["n_seq"])
         del scan[0]  # unused slot
-        _agree(scan, sequences.table(s).values(1, b["n_seq"]),
+        _agree(scan, b["table"](s).values(1, b["n_seq"]),
                lambda i: f"prefix leaf counts s={s} n={i+1}")
 
 
 def _check_first_hits(b):
     for s in range(b["shift_max"] + 1):
-        t = sequences.table(s)
+        t = b["table"](s)
         hits = range(2, t.a(b["n_seq"]) + 1)
         pos = [sequences.p(s, n) for n in hits]
         vals = t.values(0, pos[-1])  # p increases, so pos[-1] is the largest
@@ -138,7 +140,7 @@ def _check_first_hits(b):
 
 def _check_p_differences(b):
     for s in range(b["shift_max"] + 1):
-        ranks = range(1, sequences.table(s).a(b["n_seq"]))
+        ranks = range(1, b["table"](s).a(b["n_seq"]))
         gaps = [sequences.p(s, n + 1) - sequences.p(s, n) for n in ranks]
         want = [sequences.ruler(n) + (s if sequences.is_power_of_two(n) else 0)
                 for n in ranks]
@@ -150,13 +152,13 @@ def _check_ones_count(b):
     top = b["n_seq"]
     for s in range(b["shift_max"] + 1):
         flags = [sequences.d(s, n) for n in range(1, top + 1)]
-        _agree(sequences.table(s).values(1, top), accumulate(flags),
+        _agree(b["table"](s).values(1, top), accumulate(flags),
                lambda i: f"ones count s={s} n={i+1}")
 
 
 def _check_doubling(b):
     # k = 0 is excluded: with a(0,0) = 1 the identity holds only for k >= 1
-    vals = sequences.table(0).values(0, (2 << b["double_h"]) - 2)
+    vals = b["table"](0).values(0, (2 << b["double_h"]) - 2)
     for h in range(1, b["double_h"] + 1):
         block = 1 << h
         _agree(vals[block : 2 * block - 1], [(block >> 1) + v for v in vals[1:block]],
@@ -166,7 +168,7 @@ def _check_doubling(b):
 def _check_word_stream(b):
     for s in range(min(b["shift_max"], 4) + 1):
         w = words.dword_prefix(s, b["word_bits"])
-        _agree(accumulate(map(int, w)), sequences.table(s).values(1, b["word_bits"]),
+        _agree(accumulate(map(int, w)), b["table"](s).values(1, b["word_bits"]),
                lambda i: f"stream bit s={s} n={i+1}")
         ones = [i + 1 for i, c in enumerate(w) if c == "1"]
         _agree([sequences.p(s, rank) for rank in range(1, len(ones) + 1)], ones,
@@ -177,7 +179,7 @@ def _check_ruler_factorization(b):
     for s in range(min(b["shift_max"], 4) + 1):
         target = words.dword_prefix(s, b["word_bits"])
         # enough terms to cover the prefix: one term per leaf
-        terms = sequences.a(s, b["word_bits"])
+        terms = b["table"](s).a(b["word_bits"])
         built = words.ruler_factorization(s, terms)
         _need(built[: len(target)] == target, f"ruler factorization s={s}")
 
@@ -214,7 +216,7 @@ def _check_d_gf(b):
     orders = range(1, order + 1)
     for s in range(min(b["shift_max"], 4) + 1):
         ds = series.gf_Ds_sum(s, order)
-        _agree(accumulate(map(ds.coefficient, orders)), sequences.table(s).values(1, order),
+        _agree(accumulate(map(ds.coefficient, orders)), b["table"](s).values(1, order),
                lambda i: f"d gf s={s} n={i+1}")
         _need(series.gf_Ds_nested(s, order // 2) == series.gf_Ds_sum(s, order // 2),
               f"nested form s={s}")
@@ -232,7 +234,7 @@ def _check_a_gf(b):
     orders = range(1, order + 1)
     for s in range(min(b["shift_max"], 4) + 1):
         quo = series.gf_A_from_D(s, order)
-        _agree(map(quo.coefficient, orders), sequences.table(s).values(1, order),
+        _agree(map(quo.coefficient, orders), b["table"](s).values(1, order),
                lambda i: f"a gf s={s} n={i+1}")
         if s >= 1:
             _need(series.gf_As(s, order) == quo, f"product form s={s}")
@@ -252,7 +254,7 @@ def _check_composition_counts(b):
     top = b["comp_n"]
     for s in range(1, 5):
         counted = compositions.counts_up_to(s, top)
-        vals = sequences.table(s).values(0, top)
+        vals = b["table"](s).values(0, top)
         _agree(counted[1:], vals[1:], lambda i: f"composition counts s={s} n={i+1}")
 
 
@@ -312,7 +314,7 @@ def _check_bridge_amax(b):
     # greedy M at the minimum height; the served a_max is checked against it
     ns = range(2, b["bridge_n"] + 1)
     greedy = [codes._M_greedy(n, codes._ceil_lg(n)) for n in ns]
-    _agree(greedy, sequences.table(1).values(1, ns[-1] - 1),
+    _agree(greedy, b["table"](1).values(1, ns[-1] - 1),
            lambda i: f"greedy a_max({i+2})")
     _agree(map(codes.a_max, ns), greedy, lambda i: f"served a_max({i+2})")
 
@@ -320,7 +322,7 @@ def _check_bridge_amax(b):
 def _check_bridge_bseq(b):
     ns = range(1, b["bridge_n"] + 1)
     greedy = [codes._M_greedy(n + h, h) for n, h in zip(ns, map(_slack_height, ns))]
-    _agree(greedy, sequences.table(0).values(1, ns[-1]),
+    _agree(greedy, b["table"](0).values(1, ns[-1]),
            lambda i: f"greedy b_seq({i+1})")
     _agree(map(codes.b_seq, ns), greedy, lambda i: f"served b_seq({i+1})")
 
@@ -425,6 +427,7 @@ def run_all(depth: str = "quick", stream=None, timings=None) -> bool:
     """
     out = stream if stream is not None else sys.stdout
     bounds = _bounds(depth)
+    bounds["table"] = cache(sequences.SequenceTable)  # this run's oracle
     all_ok = True
     for name, check in IDENTITIES:
         started = time.perf_counter()

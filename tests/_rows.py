@@ -1,4 +1,13 @@
-"""Hand-checked reference values for n = 1..20, shifts 0..2."""
+"""Hand-checked reference values for n = 1..20, shifts 0..2, and the
+shift-s recurrence that tests read as their oracle."""
+
+from functools import cache
+
+from metafib.sequences import SequenceTable
+
+# One recurrence table per shift for the test session, kept apart from the
+# shared tables behind the public a; only tests of table() and a read those.
+recurrence = cache(SequenceTable)
 
 ROWS_A = {
     0: [1, 2, 2, 3, 4, 4, 4, 5, 6, 6, 7, 8, 8, 8, 8, 9, 10, 10, 11, 12],

@@ -12,7 +12,7 @@ from itertools import accumulate
 from metafib import codes, compositions, oeis, series, trees, words
 from metafib import sequences as sq
 
-from _rows import ROWS_A, ROWS_D, ROWS_P
+from _rows import ROWS_A, ROWS_D, ROWS_P, recurrence
 from conftest import record_criterion
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -32,7 +32,7 @@ def test_criterion_2_recurrence_vs_tree_oracle():
     started = time.monotonic()
     top = 20000
     for s in range(7):
-        vals = sq.table(s).values(0, top)
+        vals = recurrence(s).values(0, top)
         running = 0
         for n in range(1, top + 1):
             running += trees.is_leaf_oracle(s, n)
@@ -47,18 +47,18 @@ def test_criterion_3_evaluator_agreement():
     started = time.monotonic()
     top = 100000
     for s in range(7):
-        vals = sq.table(s).values(0, top)
+        vals = recurrence(s).values(0, top)
         via = sq.as_via_a0
         descent = sq.as_descent
         for n in range(1, top + 1):
             v = vals[n]
             assert via(s, n) == v, (s, n)
             assert descent(s, n) == v, (s, n)
-    vals0 = sq.table(0).values(0, top)
+    vals0 = recurrence(0).values(0, top)
     fast0 = sq.a0_fast
     for n in range(top + 1):
         assert fast0(n) == vals0[n], n
-    vals1 = sq.table(1).values(0, top)
+    vals1 = recurrence(1).values(0, top)
     fast1 = sq.a1_fast
     for n in range(1, top + 1):
         assert fast1(n) == vals1[n], n
@@ -70,7 +70,7 @@ def test_criterion_4_generating_functions():
     started = time.monotonic()
     order = 4096
     for s in range(5):
-        t = sq.table(s)
+        t = recurrence(s)
         t.extend_to(order)
         ds = series.gf_Ds_sum(s, order)
         aa = series.gf_A_from_D(s, order)
@@ -93,7 +93,7 @@ def test_criterion_5_words():
     started = time.monotonic()
     bits = 1 << 14
     for s in range(5):
-        t = sq.table(s)
+        t = recurrence(s)
         stream = words.dword_prefix(s, bits)
         assert list(accumulate(map(int, stream))) == t.values(1, bits), s
         rebuilt = words.ruler_factorization(s, t.a(bits))
@@ -116,7 +116,7 @@ def test_criterion_6_compositions():
     top = 2000
     for s in range(1, 5):
         counted = compositions.counts_up_to(s, top)
-        vals = sq.table(s).values(0, top)
+        vals = recurrence(s).values(0, top)
         assert counted[1:] == vals[1:], s
     for s in range(1, 4):
         for n in range(1, 31):

@@ -76,6 +76,24 @@ def test_counts_to_code_examples():
     assert counts_to_code([1, 1, 2]) == (3, 3, 3, 3, 1)
 
 
+def test_counts_to_code_refuses_more_leaves_than_output_at_once(monkeypatch):
+    from metafib import limits
+
+    # a doubling tau of k entries asks for 2**k leaves; it is refused by
+    # name before any level is built
+    named = rf"<= {limits.OUTPUT} \(limits.OUTPUT\)"
+    started = time.monotonic()
+    for k in (24, 61):
+        with pytest.raises(ValueError, match=named):
+            counts_to_code([1 << i for i in range(k)])
+    assert time.monotonic() - started < 0.2
+    # n = sum(tau) + 1 leaves: n = OUTPUT is built, n = OUTPUT + 1 is not
+    monkeypatch.setattr(limits, "OUTPUT", 8)
+    assert counts_to_code([1, 2, 4]) == (3,) * 8
+    with pytest.raises(ValueError, match=r"<= 8 \(limits.OUTPUT\), asked for 9"):
+        counts_to_code([1, 2, 4, 1])
+
+
 def test_counts_roundtrip_small():
     def grow(tau, h):
         if sum(tau) + 1 > 14:

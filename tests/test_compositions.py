@@ -11,6 +11,8 @@ from metafib.compositions import (
     part_choices,
 )
 
+from _rows import recurrence
+
 
 def test_part_choices():
     assert part_choices(2, 0) == (1, 2)
@@ -75,7 +77,7 @@ def test_enumerate_is_lexicographic_and_valid():
 def test_counts_match_recurrence():
     for s in range(1, 5):
         counted = counts_up_to(s, 400)
-        vals = sq.table(s).values(0, 400)
+        vals = recurrence(s).values(0, 400)
         assert counted[1:] == vals[1:]
 
 
@@ -89,11 +91,11 @@ def test_counts_where_the_layers_give_way_to_the_fold():
         for limit in sorted(limits):
             counted = counts_up_to(s, limit)
             assert len(counted) == limit + 1 and counted[0] == 0
-            assert counted[1:] == sq.table(s).values(0, limit)[1:]
+            assert counted[1:] == recurrence(s).values(0, limit)[1:]
     start = time.perf_counter()
     counted = counts_up_to(1, 20000)
     assert time.perf_counter() - start < 2.0
-    assert counted[1:] == sq.table(1).values(0, 20000)[1:]
+    assert counted[1:] == recurrence(1).values(0, 20000)[1:]
 
 
 def test_counts_match_product_generating_function():

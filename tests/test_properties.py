@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from metafib import sequences as sq
 from metafib import trees
 
+from _rows import recurrence
+
 TABLE_TOP = 10**5
 HUGE = 10**18
 
@@ -24,7 +26,7 @@ examples = settings(max_examples=300, deadline=None, derandomize=True)
 @examples
 @given(s=st.integers(0, 6), n=st.integers(1, TABLE_TOP))
 def test_evaluators_match_the_table(s, n):
-    want = sq.table(s).a(n)
+    want = recurrence(s).a(n)
     assert sq.as_via_a0(s, n) == want
     assert sq.as_descent(s, n) == want
 
@@ -32,7 +34,7 @@ def test_evaluators_match_the_table(s, n):
 @examples
 @given(n=st.integers(0, TABLE_TOP))
 def test_a0_fast_matches_the_table(n):
-    assert sq.a0_fast(n) == sq.table(0).a(n)
+    assert sq.a0_fast(n) == recurrence(0).a(n)
 
 
 @examples

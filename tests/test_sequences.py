@@ -10,7 +10,7 @@ import pytest
 from metafib import limits, trees
 from metafib import sequences as sq
 
-from _rows import ROWS_A, ROWS_D, ROWS_P, RULER_PREFIX
+from _rows import ROWS_A, ROWS_D, ROWS_P, RULER_PREFIX, recurrence
 from _run import run_python
 
 
@@ -101,19 +101,19 @@ def test_as_descent_examples():
 
 def test_step_invariant_and_monotone():
     for s in range(5):
-        vals = sq.table(s).values(0, 4000)
+        vals = recurrence(s).values(0, 4000)
         assert all(vals[n + 1] - vals[n] in (0, 1) for n in range(1, 4000))
 
 
 def test_evaluators_agree_midrange():
     for s in range(5):
-        vals = sq.table(s).values(0, 4000)
+        vals = recurrence(s).values(0, 4000)
         for n in range(1, 4001):
             assert sq.as_via_a0(s, n) == vals[n]
             assert sq.as_descent(s, n) == vals[n]
-    vals0 = sq.table(0).values(0, 4000)
+    vals0 = recurrence(0).values(0, 4000)
     assert all(sq.a0_fast(n) == vals0[n] for n in range(4001))
-    vals1 = sq.table(1).values(0, 4000)
+    vals1 = recurrence(1).values(0, 4000)
     assert all(sq.a1_fast(n) == vals1[n] for n in range(1, 4001))
 
 
@@ -220,7 +220,7 @@ def test_shift_table_matches_the_tree_scan():
     # against the tree oracle: a(s, 0) is the base value 1, then leaf counts
     for s in range(7):
         scan = trees.leaf_count_scan(s, 399)
-        assert sq.table(s).values(0, 399) == [1] + scan[1:]
+        assert recurrence(s).values(0, 399) == [1] + scan[1:]
 
 
 def test_shift_table_seed_is_guarded(fresh_memos):
@@ -613,7 +613,7 @@ def test_p_window_matches_point_p():
 
 def test_a_window_matches_the_table():
     for s in range(7):
-        t = sq.table(s)
+        t = recurrence(s)
         windows = [(1, 1), (1, 2), (1, 5000), (4000, 9000)]
         windows += [(lo, hi) for lo in range(1, s + 3) for hi in (lo, s + 2, s + 3, s + 40)]
         for start in _block_starts(s, 2, 9000):

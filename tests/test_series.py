@@ -17,7 +17,7 @@ from metafib.series import (
     gf_ruler,
 )
 
-from _rows import ROWS_A, ROWS_D, ROWS_P
+from _rows import ROWS_A, ROWS_D, ROWS_P, recurrence
 
 
 def coeffs_1_to(gf, top):
@@ -181,7 +181,7 @@ def test_quotient_identity():
 
 def test_gf_midrange_against_sequences():
     for s in range(5):
-        t = sq.table(s)
+        t = recurrence(s)
         order = 512
         ds = gf_Ds_sum(s, order)
         aa = gf_A_from_D(s, order)

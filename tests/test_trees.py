@@ -8,6 +8,8 @@ import pytest
 from metafib import sequences as sq
 from metafib import trees
 
+from _rows import recurrence
+
 
 def test_locate_examples():
     root = trees.locate(2, 7)
@@ -65,7 +67,7 @@ def test_label_ranges_partition():
 
 def test_oracle_matches_sequences_midrange():
     for s in range(5):
-        vals = sq.table(s).values(0, 4000)
+        vals = recurrence(s).values(0, 4000)
         running = 0
         for n in range(1, 4001):
             flag = trees.is_leaf_oracle(s, n)
@@ -113,7 +115,7 @@ def test_adjacent_leaves_are_siblings():
     # past the base range, two leaf flags in a row (a rises by 2 over two
     # labels) mean a left/right pair
     for s in range(4):
-        vals = sq.table(s).values(0, 5000)
+        vals = recurrence(s).values(0, 5000)
         for n in range(s + 3, 5001):
             if vals[n] - vals[n - 2] == 2:
                 right = trees.locate(s, n)

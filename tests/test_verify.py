@@ -15,6 +15,15 @@ def run_quick():
     return ok, lines
 
 
+def test_a_run_builds_its_own_tables_and_drops_them(monkeypatch):
+    # the recurrence oracle is the run's own, so the shared tables behind
+    # the public a are neither read nor grown
+    monkeypatch.setattr(sequences, "_tables", {})
+    ok, lines = run_quick()
+    assert ok and lines == [f"PASS  {name}" for name, _ in verify.IDENTITIES]
+    assert sequences._tables == {}
+
+
 def test_evaluator_mismatch_names_the_first_bad_label(monkeypatch):
     real = sequences.as_descent
     monkeypatch.setattr(sequences, "as_descent",
@@ -90,9 +99,8 @@ def test_evaluator_sweep_memory_does_not_grow_with_the_sweep(monkeypatch):
     # the comparison itself holds; traced, the routes' and the table's own
     # int allocations would take ~10 s.
     window = 1 << 12
-    vals = [sequences.table(s).values(0, 16 * window) for s in (0, 1)]
+    vals = [sequences.SequenceTable(s).values(0, 16 * window) for s in (0, 1)]
     tables = [SimpleNamespace(values=lambda lo, hi, v=v: v[lo : hi + 1]) for v in vals]
-    monkeypatch.setattr(sequences, "table", tables.__getitem__)
     monkeypatch.setattr(sequences, "as_via_a0", lambda s, n: vals[s][n])
     monkeypatch.setattr(sequences, "as_descent", lambda s, n: vals[s][n])
     monkeypatch.setattr(sequences, "a0_fast", vals[0].__getitem__)
@@ -101,7 +109,8 @@ def test_evaluator_sweep_memory_does_not_grow_with_the_sweep(monkeypatch):
     def peak(windows):
         tracemalloc.start()
         try:
-            verify._check_evaluators({"shift_max": 1, "n_eval": windows * window})
+            verify._check_evaluators({"shift_max": 1, "n_eval": windows * window,
+                                      "table": tables.__getitem__})
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -6,7 +6,7 @@ import pytest
 from metafib import limits, trees, words
 from metafib import sequences as sq
 
-from _rows import ROWS_D
+from _rows import ROWS_D, recurrence
 
 
 def row_string(s):
@@ -147,7 +147,7 @@ def test_stream_matches_leaf_oracle():
 def test_stream_matches_d_sequence():
     for s in range(5):
         w = words.dword_prefix(s, 5000)
-        assert list(accumulate(map(int, w))) == sq.table(s).values(1, 5000)
+        assert list(accumulate(map(int, w))) == recurrence(s).values(1, 5000)
 
 
 def test_factorization_rebuilds_stream():

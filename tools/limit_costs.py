@@ -59,6 +59,8 @@ CASES = [
     *[(f"gf {w} --order 2**16", _cli("gf", w, "--order", limits.GF_ORDER))
       for w in ("ruler", "D", "A", "P")],
     ("counts_up_to(1, 2**20)", _each(compositions.counts_up_to, [(1, limits.COUNT)])),
+    ("counts_to_code, 2**22 leaves",
+     _each(codes.counts_to_code, [([1 << k for k in range(OUT.bit_length() - 1)],)])),
     ("enumerate_codes(16)", _each(codes.enumerate_codes, [(limits.ENUM_CODES,)])),
     ("M_oracle(16, h), every h",
      _each(codes.M_oracle, [(limits.ENUM_CODES, h) for h in range(1, limits.ENUM_CODES)])),
