@@ -86,9 +86,5 @@ def enumerate_compositions(s: int, n: int) -> list:
                 extend(i + 1, remaining - c)
                 prefix.pop()
 
-    for first in part_choices(s, 0):
-        if first <= n:
-            prefix.append(first)
-            extend(1, n - first)
-            prefix.pop()
+    extend(0, n)
     return out

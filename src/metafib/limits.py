@@ -19,7 +19,9 @@ N > OUTPUT itself; ``cli`` checks only its windows, ``mtable`` cells and
 # (0.06 s).  In one later run, `word runs --terms 2097151` (2**22 - 23
 # characters) takes 0.44 s and 37 MB, and at `--length 2**22` `word stream`
 # 0.03 s and `word morphism` 0.10 s, 28-29 MB each; in another, `counts_to_code`
-# at 2**22 leaves 0.07 s and 80 MB.  D_n and E_n stop at n = 21.
+# at 2**22 leaves 0.07 s and 80 MB; in a third, the costliest library series at
+# order 2**22, `gf_As(1, .)` 12.1 s and 305 MB and `gf_Ds_nested(1, .)` 11.7 s
+# and 176 MB.  D_n and E_n stop at n = 21.
 OUTPUT = 1 << 22
 GF_ORDER = 1 << 16  # largest `gf --order`: under 0.05 s and 17-20 MB, any series
 # Largest target counts_up_to builds its O(limit) lists for: s = 1 takes

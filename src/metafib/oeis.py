@@ -8,9 +8,13 @@ indexing with the 1-based sequences computed here.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 
 from . import sequences
+
+
+_INTEGER = re.compile(r"-?[0-9]+")  # int() alone also takes "+1" and "1_0"
 
 
 class BFileError(ValueError):
@@ -30,7 +34,9 @@ def read_bfile(path) -> list:
             if len(fields) != 2:
                 raise BFileError(f"{path}:{lineno}: expected 'n value'")
             try:
-                n, value = int(fields[0]), int(fields[1])
+                if not all(map(_INTEGER.fullmatch, fields)):
+                    raise ValueError(fields)
+                n, value = int(fields[0]), int(fields[1])  # may pass int's digit limit
             except ValueError as exc:
                 raise BFileError(f"{path}:{lineno}: non-integer field") from exc
             if last is not None and n <= last:

@@ -2,9 +2,10 @@
 
 A TruncatedSeries holds integer coefficients c_0..c_N for a series known
 mod z^(N+1).  All arithmetic is exact; the only divisions anywhere are by
-units of the form 1 - z^m, handled by prefix sums.  Every series is built
-through the constructor, which refuses an order above ``limits.OUTPUT``
-before it allocates a coefficient.
+units of the form 1 - z^m, handled by prefix sums.  The constructor refuses
+an order above ``limits.OUTPUT`` before it allocates a coefficient; the
+results of arithmetic skip it (``_adopt``), since their order is at most
+that of operands it has already checked.
 """
 
 from __future__ import annotations
@@ -115,8 +116,11 @@ def gf_ruler(order: int) -> TruncatedSeries:
     return out
 
 
-def _times_one_plus_power(series: TruncatedSeries, t: int) -> TruncatedSeries:
-    return series + series.shift_by_power(t)
+def _times_doubling_product(series: TruncatedSeries, top: int) -> TruncatedSeries:
+    """series times prod (1 + z**(2**j - 1)), j = 1..top; past the order a factor is 1."""
+    for j in range(1, min(top, series.order.bit_length()) + 1):
+        series = series + series.shift_by_power((1 << j) - 1)
+    return series
 
 
 def gf_Dn(n: int, order: int) -> TruncatedSeries:
@@ -127,13 +131,7 @@ def gf_Dn(n: int, order: int) -> TruncatedSeries:
     """
     if n < 0:
         raise ValueError("gf_Dn needs n >= 0")
-    out = TruncatedSeries.monomial(n + 1, order)
-    for j in range(1, n + 1):
-        t = (1 << j) - 1
-        if t > order:
-            break
-        out = _times_one_plus_power(out, t)
-    return out
+    return _times_doubling_product(TruncatedSeries.monomial(n + 1, order), n)
 
 
 def gf_D0(order: int) -> TruncatedSeries:
@@ -141,12 +139,7 @@ def gf_D0(order: int) -> TruncatedSeries:
 
     Coefficient of z**n is d(0, n).
     """
-    out = TruncatedSeries.monomial(1, order)
-    n = 1
-    while (1 << n) - 1 <= order:
-        out = _times_one_plus_power(out, (1 << n) - 1)
-        n += 1
-    return out
+    return _times_doubling_product(TruncatedSeries.monomial(1, order), order)
 
 
 def gf_Ds_sum(s: int, order: int) -> TruncatedSeries:
@@ -189,18 +182,8 @@ def gf_Ds_nested(s: int, order: int) -> TruncatedSeries:
     one = TruncatedSeries.one(order)
     t = one
     for k in range(max(1, order.bit_length()), 0, -1):
-        t = one + _times_one_plus_power(t, (1 << k) - 1).shift_by_power(s + (1 << k))
+        t = one + (t + t.shift_by_power((1 << k) - 1)).shift_by_power(s + (1 << k))
     return (one + t.shift_by_power(s + 1)).shift_by_power(1)
-
-
-def _strided_tail(series: TruncatedSeries, stride: int) -> TruncatedSeries:
-    """series * (z**stride + z**(2*stride) + ...)."""
-    n = series.order
-    src = series._c
-    out = [0] * (n + 1)
-    for i in range(stride, n + 1):
-        out[i] = out[i - stride] + src[i - stride]
-    return TruncatedSeries._adopt(out, n)
 
 
 def gf_As(s: int, order: int) -> TruncatedSeries:
@@ -208,25 +191,20 @@ def gf_As(s: int, order: int) -> TruncatedSeries:
 
     (1 + z + ... + z**(s-1)) * (z + z * sum over n >= 1 of the products
     prod_{k=1..n} (z**s + z**(2**k + s - 1))).  Coefficient of z**n is
-    a(s, n).  For s = 0 use gf_A_from_D.
+    a(s, n).  For s = 0 use gf_A_from_D.  Once 2**n + s - 1 passes the
+    order every factor is z**s, so the tail is prod * z**s / (1 - z**s); the
+    front factor (1 - z**s) / (1 - z) cancels that denominator, leaving
+    (acc * (1 - z**s) + prod * z**s) * z prefix-summed, acc = 1 + the sum.
     """
     if s < 1:
         raise ValueError("gf_As needs s >= 1 (use gf_A_from_D for s = 0)")
-    prod = TruncatedSeries.one(order)
-    acc = TruncatedSeries.zero(order)
+    prod = acc = TruncatedSeries.one(order)
     n = 1
-    while n * s <= order:
-        t = (1 << n) + s - 1
-        if t > order:
-            # every later factor reduces to z**s; close the geometric tail
-            acc = acc + _strided_tail(prod, s)
-            break
+    while (t := (1 << n) + s - 1) <= order:
         prod = prod.shift_by_power(s) + prod.shift_by_power(t)
         acc = acc + prod
         n += 1
-    inner = (TruncatedSeries.one(order) + acc).shift_by_power(1)
-    # times the front factor (1 - z**s) / (1 - z)
-    return (inner - inner.shift_by_power(s)).prefix_sums()
+    return (acc + (prod - acc).shift_by_power(s)).shift_by_power(1).prefix_sums()
 
 
 def gf_A_from_D(s: int, order: int) -> TruncatedSeries:
@@ -237,17 +215,17 @@ def gf_A_from_D(s: int, order: int) -> TruncatedSeries:
 def gf_Ps(s: int, order: int) -> TruncatedSeries:
     """Generating function of the leaf positions.
 
-    Prefix sums of 1 + z * sum over k >= 0 of z**(2**k) (s + 1/(1-z**(2**k))).
-    Coefficient of z**n is p(s, n) for n >= 1; the constant term is 1.
+    Prefix sums of 1 + z * gf_ruler + s * (sum over k >= 0 of z**(2**k + 1)):
+    p's differences are the ruler plus s at powers of two.  Coefficient of z**n is p(s, n) for n >= 1; the
+    constant term is 1.
     """
     if s < 0:
         raise ValueError("gf_Ps needs s >= 0")
-    out = TruncatedSeries.one(order)
+    out = gf_ruler(order).shift_by_power(1)
     c = out._c
+    c[0] = 1
     k = 1
-    while k + 1 <= order:
+    while k < order:
         c[k + 1] += s
-        for i in range(k + 1, order + 1, k):
-            c[i] += 1
         k <<= 1
     return out.prefix_sums()

@@ -99,11 +99,12 @@ def test_counts_where_the_layers_give_way_to_the_fold():
 
 
 def test_counts_match_product_generating_function():
-    for s in range(1, 5):
-        gf = series.gf_As(s, 512)
-        counted = counts_up_to(s, 512)
-        for n in range(1, 513):
-            assert counted[n] == gf.coefficient(n)
+    # every order up to 70, and the orders around 2**n + s - 1, the last big
+    # part gf_As multiplies in before it closes its tail
+    for s in (*range(1, 10), 10**18):
+        edges = {(1 << n) + s + e for n in range(1, 13) for e in (-2, -1, 0)}
+        for order in sorted({*range(71), 512, *(o for o in edges if o <= 4096)}):
+            assert series.gf_As(s, order).coeffs == tuple(counts_up_to(s, order)), (s, order)
 
 
 def test_guards():

@@ -30,6 +30,13 @@ def test_read_bfile_rejects_garbage(tmp_path):
     with pytest.raises(oeis.BFileError):
         oeis.read_bfile(bad_cols)
 
+    # int() alone would read these as 10 and 11
+    for i, line in enumerate(("1_0 1", "+11 2")):
+        loose = tmp_path / f"bad_int{i}.txt"
+        loose.write_text(f"0 0\n{line}\n")
+        with pytest.raises(oeis.BFileError, match=r":2: non-integer field"):
+            oeis.read_bfile(loose)
+
     bad_order = tmp_path / "bad3.txt"
     bad_order.write_text("2 1\n1 1\n")
     with pytest.raises(oeis.BFileError):

@@ -117,6 +117,10 @@ def test_gf_Dn_support_is_word_support():
         gf = gf_Dn(n, len(word))
         expected = tuple(i + 1 for i, c in enumerate(word) if c == "1")
         assert gf.support() == expected
+        # every cut, with n running past the order's bit length
+        for order in range(301):
+            cut = tuple(i for i in expected if i <= order)
+            assert gf_Dn(n, order).support() == cut, (n, order)
 
 
 def test_gf_D0_values():
@@ -125,6 +129,8 @@ def test_gf_D0_values():
     assert gf.coefficient(3) == 0
     assert gf.coefficient(32) == 1
     assert gf == gf_Ds_sum(0, 64)
+    for order in range(301):
+        assert gf_D0(order) == gf_Ds_sum(0, order), order
 
 
 def test_gf_Ds_sum_rows():
@@ -169,6 +175,9 @@ def test_gf_Ps_values():
     assert coeffs_1_to(gf_Ps(0, 12), 12) == ROWS_P[0][:12]
     for s in range(5):
         assert gf_Ps(s, 0).coefficient(0) == 1
+    for s in range(10):
+        for order in range(71):
+            assert gf_Ps(s, order).coeffs == (1, *sq.p_window(s, 1, order)), (s, order)
 
 
 def test_quotient_identity():
