@@ -153,8 +153,8 @@ def greedy_tree(n: int, h: int) -> tuple:
     if not h + 1 <= n <= 1 << h:
         raise ValueError(f"greedy_tree needs h+1 <= n <= 2**h, got n={n}, h={h}")
     leaves = _greedy_leaves(n, h)
-    levels = []
-    for depth in range(h, 0, -1):
+    levels = [h] * leaves[h]  # all but at most two leaves a level sit at the bottom
+    for depth in range(h - 1, 0, -1):
         levels += [depth] * leaves[depth]
     return tuple(levels)
 

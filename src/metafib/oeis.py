@@ -22,12 +22,25 @@ class BFileError(ValueError):
 
 
 def read_bfile(path) -> list:
-    """Parse a b-file into (index, value) pairs."""
+    """Parse a b-file into (index, value) pairs.
+
+    The file is UTF-8: a comment line may hold any text, while a data line
+    is two ASCII integers.  Bytes that are not UTF-8 are refused with their
+    line, like every other format fault.
+    """
     records = []
     last = None
-    with open(path, "r", encoding="ascii") as fh:
+    # surrogateescape carries undecodable bytes through to their own line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise BFileError(f"{path}:{lineno}: not UTF-8 text") from exc
+                if not line.startswith("#"):  # str.split would split at non-ASCII spaces
+                    raise BFileError(f"{path}:{lineno}: non-ASCII text outside a comment")
             if not line or line.startswith("#"):
                 continue
             fields = line.split()

@@ -331,13 +331,17 @@ _descent_memo = array("I", [0]) * (_DESCENT_MEMO_TOP + 1)
 def as_descent(s: int, n: int) -> int:
     """a(s, n) by descending into the left or right half of the subtree.
 
-    Each step maps the query to the same place in subtree h - 1 (both
-    halves of subtree h start where subtree h - 1 starts), accumulating
-    the leaves skipped over, and bottoms out in the small-n base values or
-    at a subtree root.  A descent memoizes its own start, and only a start
-    up to _DESCENT_MEMO_TOP, so ascending sweeps cost O(1) a call while
-    huge-n descents write nothing.  The memo is read before the descent and
-    after each step, at nodes up to that bound; a slot counts only when its
+    The query rides as its offset o from the root of subtree h: o <= 0 is
+    a path node or the root itself.  Both halves of subtree h start where
+    subtree h - 1 starts, so each step keeps o's place in subtree h - 1:
+    going left (o < 2**(h-1)) lowers o by 1 and skips 2**(h-2) leaves,
+    going right lowers o by 2**(h-1) and skips that many.  The descent
+    stops at o = 0, a subtree root, or at subtree 1, the single leaf s + 2.
+    A descent memoizes its own start, and only a start up to
+    _DESCENT_MEMO_TOP, so ascending sweeps cost O(1) a call while huge-n
+    descents write nothing.  The memo is read at the start and after each
+    step at the label the offset stands for, once the subtree is small
+    enough for that label to reach the bound; a slot counts only when its
     tag is this shift's, so every shift shares the one array.
     """
     if s < 0 or n < 1:
@@ -354,33 +358,31 @@ def as_descent(s: int, n: int) -> int:
     if n <= s + 2:
         return 1 if n <= s + 1 else 2
     h = _block(s, n)
-    root = (1 << h) + (s - 1) * h + 1
-    if n <= root:
+    o = n - (1 << h) - (s - 1) * h - 1
+    if o <= 0:
         # a path node, or the subtree root itself (internal for h >= 2)
         return 1 << (h - 1)
-    start = n
     total = 0
     while True:
-        half = 1 << (h - 1)
-        if n < root + half:
+        h -= 1
+        half = 1 << h
+        if o < half:
             total += half >> 1
-            n -= half + s
+            o -= 1
         else:
             total += half
-            n -= (half << 1) + s - 1
-        h -= 1
-        if n <= top:
-            known = memo[n] ^ tag
-            if known < 1 << 16:
-                break
-        if h == 1:  # subtree 1 is the single leaf s + 2
-            known = 2
-            break
-        root -= half + s - 1
-        if n == root:
-            known = half >> 1
+            o -= half
+        # while 2**h > top even the lowest root, s = 0's 2**h - h + 1, is past top
+        if half <= top:
+            label = half + (s - 1) * h + 1 + o
+            if label <= top:
+                known = memo[label] ^ tag
+                if known < 1 << 16:
+                    break
+        if not o:  # the root of subtree h; subtree 1 is the single leaf s + 2
+            known = half >> 1 if h > 1 else 2
             break
     value = total + known
-    if start <= top:
-        memo[start] = tag | value
+    if n <= top:
+        memo[n] = tag | value
     return value

@@ -17,6 +17,9 @@ def test_read_bfile_skips_comments(tmp_path):
     path = tmp_path / "b.txt"
     path.write_text("# header\n\n1 5\n2 7\n")
     assert oeis.read_bfile(path) == [(1, 5), (2, 7)]
+    # comments may hold any UTF-8 text, as OEIS b-file headers often do
+    path.write_text("# b-file by Rémy Sigrist\n# n a(n) ≥ 1\n1 5\n2 7\n", encoding="utf-8")
+    assert oeis.read_bfile(path) == [(1, 5), (2, 7)]
 
 
 def test_read_bfile_rejects_garbage(tmp_path):
@@ -36,6 +39,15 @@ def test_read_bfile_rejects_garbage(tmp_path):
         loose.write_text(f"0 0\n{line}\n")
         with pytest.raises(oeis.BFileError, match=r":2: non-integer field"):
             oeis.read_bfile(loose)
+
+    # bytes that are not UTF-8, in a comment or a data line, and a data line
+    # split by a non-ASCII space, are refused with their line
+    for i, data in enumerate((b"0 0\n# R\xe9my\n1 1\n", b"0 0\n1 \xff1\n",
+                              "0 0\n1\u00a01\n".encode("utf-8"))):
+        not_text = tmp_path / f"bad_utf8{i}.txt"
+        not_text.write_bytes(data)
+        with pytest.raises(oeis.BFileError, match=r"bad_utf8\d\.txt:2: "):
+            oeis.read_bfile(not_text)
 
     bad_order = tmp_path / "bad3.txt"
     bad_order.write_text("2 1\n1 1\n")

@@ -575,6 +575,31 @@ def test_as_descent_in_random_order_keeps_only_its_starts(fresh_memos):
     assert max(reference) <= top
 
 
+def _subtree_edges(s, h):
+    """Labels at each branch of the offset descent in block h: the path run
+    before subtree h (all of it, or its ends when s is large), the root, the
+    label after it, the last label of the left half, the first of the right
+    half and the subtree's last label."""
+    root = (1 << h) + (s - 1) * h + 1
+    half = 1 << (h - 1)
+    path = range(root - s, root) if s <= 8 else (root - s, root - 1)
+    edges = {*path, root, root + 1, root + half - 1, root + half, root + (1 << h) - 2}
+    # subtree 1 is the root alone, and the label s + 1 ends the base values
+    return sorted(n for n in edges if n >= max(2, s + 2) and n <= root + (1 << h) - 2)
+
+
+@pytest.mark.parametrize("s", [*range(7), 50, 2**16 - 2, 2**16, 10**18])
+def test_as_descent_at_the_edges_of_each_subtree(fresh_memos, s):
+    # each subtree's edges, small h first so later descents pass nodes the
+    # earlier starts left in the memo; then the same labels again, read back
+    reference = {}
+    labels = [n for h in range(1, 61) for n in _subtree_edges(s, h)]
+    for _ in range(2):
+        for n in labels:
+            assert sq.as_descent(s, n) == _descent_per_step(s, n, reference), (s, n)
+    assert _kept_starts(sq._descent_memo) == reference
+
+
 # The window kernels.  p_window's runs break where k = n - 1 changes its bit
 # length; d_window's walk (and so a_window, its running sum) starts from the
 # count before its window, which a block start (the first label of a path

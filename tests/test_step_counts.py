@@ -1,0 +1,97 @@
+"""Polylog cost as a host-independent count: the Python lines one call runs.
+
+``sys.settrace`` reports a "line" event each time the interpreter starts a
+source line, in the traced call and in every Python function it calls, so
+the count of one call is exact and repeatable on any host.  Line events do
+not see work done in C, such as big-int arithmetic or building a list, so
+these counts bound Python steps, not time; the wall-clock budgets of the
+other tests stay.  Each bound is c·bitlen(n) + c0 with the constants stated
+beside it, held by the worst of 200 random n per bit length.
+"""
+
+import gc
+import random
+import sys
+from array import array
+
+import pytest
+
+from metafib import codes, sequences as sq, trees
+
+
+def line_events(fn, *args) -> int:
+    """Line events of one call fn(*args); the tracer installed before, if
+    any, is back in place afterwards, even when the call raises.  The cyclic
+    collector is paused meanwhile: the finalizers it may run in the middle
+    of the call are other objects' Python lines."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return tracer
+
+    collecting = gc.isenabled()
+    gc.disable()
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+        if collecting:
+            gc.enable()
+    return count
+
+
+# (function, c, c0): at 60 bits as_descent reads 545, as_via_a0 228 (235 at
+# 59 bits) and locate 365.  The per-step descent before the offset form read
+# 628 at 60 bits, past as_descent's 8·60 + 80 = 560.
+POINT_BOUNDS = [
+    (sq.as_descent, 8, 80),
+    (sq.as_via_a0, 4, 20),
+    (trees.locate, 6, 40),
+]
+
+
+@pytest.mark.parametrize("fn, c, c0", POINT_BOUNDS, ids=lambda v: getattr(v, "__name__", v))
+def test_point_queries_take_linear_in_bit_length_steps(monkeypatch, fn, c, c0):
+    # a cold descent memo, so as_descent's count reads no earlier test's
+    # starts; every n here is past the memo bound, so it stays empty
+    monkeypatch.setattr(sq, "_descent_memo", array("I", [0]) * (sq._DESCENT_MEMO_TOP + 1))
+    rng = random.Random(29)
+    over = {}
+    for b in range(18, 61):
+        worst = max(line_events(fn, rng.randrange(7), rng.randrange(1 << (b - 1), 1 << b))
+                    for _ in range(200))
+        if worst > c * b + c0:
+            over[b] = worst
+    assert not over, over
+
+
+def test_greedy_tree_unbounded_takes_linear_in_bit_length_steps():
+    # 8·bitlen(n) + 20: greedy_tree_unbounded(2**16) reads 143 of 156; the
+    # list of n levels is built in C, so the count follows the height only
+    rng = random.Random(29)
+    ns = [*range(2, 1 << 10), *(rng.randint(1 << 10, 1 << 16) for _ in range(1000)),
+          *(1 << k for k in range(10, 17)), *((1 << k) + 1 for k in range(10, 16))]
+    over = {n: w for n in ns
+            if (w := line_events(codes.greedy_tree_unbounded, n)) > 8 * n.bit_length() + 20}
+    assert not over, over
+
+
+def test_line_events_restores_the_tracer_and_the_collector():
+    def outer(frame, event, arg):
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(outer)
+    try:
+        assert line_events(sq.as_via_a0, 3, 10**18) > 0
+        with pytest.raises(ValueError):
+            line_events(sq.as_descent, -1, 5)
+        assert sys.gettrace() is outer and gc.isenabled()
+    finally:
+        sys.settrace(previous)
+    assert sys.gettrace() is previous
