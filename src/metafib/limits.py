@@ -9,31 +9,31 @@ N > OUTPUT itself; ``cli`` checks only its windows, ``mtable`` cells and
 # Most values one call builds or prints: a range dump or `mtable` cells, a word
 # or leaf stream, a greedy code or one built from level counts, a series' order
 # (order + 1 coefficients), a shift table's s + 3 seed values, a first part's s
-# choices or a part's position i (2**i + s - 1).  At the limit, in one run on a
-# day the host ran ~2.6x slower than for the other rows: `seq a --s 1` takes
-# 2.6 s and 33 MB peak RSS (its shift table at 4 bytes a value, one 2**12-value
-# chunk formatted at a time); `seq p --s 1` reads the closed form a bit-length
-# run at a time (0.88 s), `seq d --s 1` (0.81 s) and `codes amax|bseq` at 2**22
-# values (1.09 s) one leaf-label walk a chunk, 17 MB each, and
-# `codes mtable --nmax 2049` one walk over a(0, 1..2048) read backwards per row
-# (0.06 s).  In one later run, `word runs --terms 2097151` (2**22 - 23
-# characters) takes 0.44 s and 37 MB, and at `--length 2**22` `word stream`
-# 0.03 s and `word morphism` 0.10 s, 28-29 MB each; in another, `counts_to_code`
-# at 2**22 leaves 0.07 s and 80 MB; in a third, the costliest library series at
-# order 2**22, `gf_As(1, .)` 12.1 s and 305 MB and `gf_Ds_nested(1, .)` 11.7 s
-# and 176 MB.  D_n and E_n stop at n = 21.
+# choices or a part's position i (2**i + s - 1).  At the limit, all in one run:
+# `seq a --s 1` takes 2.3 s and 33 MB peak RSS (its shift table at 4 bytes a
+# value, one 2**12-value chunk formatted at a time); `seq p --s 1` reads the
+# closed form a bit-length run at a time (0.87 s), `seq d --s 1` (0.78 s) and
+# `codes amax|bseq` at 2**22 values (1.01-1.05 s) one leaf-label walk a chunk,
+# 17 MB each, and `codes mtable --nmax 2049` one walk over a(0, 1..2048) read
+# backwards per row (0.05 s).  `word runs --terms 2097151` (2**22 - 23
+# characters) takes 0.23 s and 37 MB, `word stream|morphism --length 2**22`
+# 0.03|0.12 s and 28-29 MB, and `counts_to_code` at 2**22 leaves 0.07 s and
+# 81 MB.  The series at order 2**22 take 0.09-0.48 s and 65-79 MB in packed
+# ints (`gf_ruler`, `gf_D0`, `gf_Ds_sum`, `gf_Ds_nested`), `gf_As(1, .)` 1.55 s
+# and 296 MB, `gf_A_from_D|gf_Ps(1, .)` 0.44|0.80 s and 216-217 MB, most of it
+# the 2**22 + 1 ints returned.  D_n and E_n stop at n = 21.
 OUTPUT = 1 << 22
-GF_ORDER = 1 << 16  # largest `gf --order`: under 0.05 s and 17-20 MB, any series
+GF_ORDER = 1 << 16  # largest `gf --order`: 0.02-0.03 s and 18-20 MB, any series
 # Largest target counts_up_to builds its O(limit) lists for: s = 1 takes
-# 1.9-2.5 s and 129-136 MB peak RSS; 2**22 took 9.6 s and 400 MB.
+# 2.5 s and 121 MB peak RSS; 2**22 took 9.6 s and 400 MB.
 COUNT = 1 << 20
 # Most leaves enumerate_codes (and so M_oracle) walks: its 1639 codes in
-# 0.015 s, and M_oracle(16, h) for every h in 0.033 s (the word figures' run).
+# 0.012 s, and M_oracle(16, h) for every h in 0.028 s.
 ENUM_CODES = 16
 # Largest n enumerate_compositions lists: at most n compositions, every
-# s <= 64 together in 0.01 s.
+# s <= 64 together in 0.007 s.
 ENUM_COMPOSITIONS = 64
-PARTITION = 64  # largest 2**h the partition brute force takes: 0.02 s at h = 6
+PARTITION = 64  # largest 2**h the partition brute force takes: 0.017 s at h = 6
 RENDER = 127  # most labels `tree` draws; a sketch, not a dump: 2009 characters
 
 

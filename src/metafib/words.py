@@ -6,6 +6,8 @@ w[i-1]) so that string positions line up with series exponents.
 
 from __future__ import annotations
 
+import operator
+
 from . import limits, sequences
 
 # D_n and E_n have 2**(n+1) - 1 characters; past n = 64, 2**65 - 1 stands in.
@@ -66,9 +68,10 @@ def ruler_factorization(s: int, terms: int) -> str:
     if s < 0 or terms < 1:
         raise ValueError("ruler_factorization needs s >= 0, terms >= 1")
     limits.check("ruler_factorization length", sequences.p(s, terms + 1) - 1, "OUTPUT")
-    # one string per run length, ruler(j) <= the bit length of terms
-    pieces = {run: "1" + "0" * (run - 1) for run in range(1, terms.bit_length() + 1)}
-    stream = list(map(pieces.__getitem__, map(sequences.ruler, range(1, terms + 1))))
+    # one string per lowest set bit j & -j = 2**(ruler(j) - 1), read in C
+    pieces = {1 << i: "1" + "0" * i for i in range(terms.bit_length())}
+    lows = map(operator.and_, range(1, terms + 1), range(-1, -terms - 1, -1))
+    stream = list(map(pieces.__getitem__, lows))
     for i in range(terms.bit_length()):  # the powers of two up to terms
         stream[(1 << i) - 1] = "1" + "0" * (i + s)  # ruler(2**i) + s - 1 zeros
     return "".join(stream)

@@ -1,8 +1,9 @@
+import functools
 import random
 
 import pytest
 
-from metafib import limits
+from metafib import limits, series
 from metafib import sequences as sq
 from metafib import words
 from metafib.series import (
@@ -17,6 +18,7 @@ from metafib.series import (
     gf_ruler,
 )
 
+import _series_lists as lists
 from _rows import ROWS_A, ROWS_D, ROWS_P, recurrence
 
 
@@ -224,3 +226,56 @@ def test_order_past_the_output_limit_is_refused(build):
     for order in (limits.OUTPUT + 1, 10**18):
         with pytest.raises(ValueError, match=named):
             build(order)
+
+
+# Every order 0..300, and 2**k - 1, 2**k, 2**k + 1 for k = 9..16, where the
+# depth of each product steps; shifts past every small order and far past
+# the top one, where every shift must stop at the order.
+ORDERS = [*range(301), *((1 << k) + d for k in range(9, 17) for d in (-1, 0, 1))]
+SHIFTS = [*range(10), 50, 10**18]
+PACKED = ["gf_Ds_sum", "gf_Ds_nested", "gf_As", "gf_A_from_D", "gf_Ps"]
+
+
+def _agrees_with_the_list_builder(build, reference):
+    """build(order) against reference(top) cut at the order, at every order.
+    The list builders are exact, so a series mod z**(order+1) is the cut of
+    the one at the top order, and one reference serves every order."""
+    want = reference(ORDERS[-1]).coeffs
+    bad = [order for order in ORDERS
+           if (got := build(order)).order != order or got.coeffs != want[: order + 1]]
+    assert not bad, bad
+
+
+@pytest.mark.parametrize("s", SHIFTS, ids=str)
+def test_packed_builders_match_the_list_builders(s):
+    for name in (name for name in PACKED if s or name != "gf_As"):
+        _agrees_with_the_list_builder(functools.partial(getattr(series, name), s),
+                                      functools.partial(getattr(lists, name), s))
+
+
+def test_packed_ruler_and_word_series_match_the_list_builders():
+    _agrees_with_the_list_builder(gf_ruler, lists.gf_ruler)
+    _agrees_with_the_list_builder(gf_D0, lists.gf_D0)
+    for n in (*range(23), 10**18):
+        _agrees_with_the_list_builder(functools.partial(gf_Dn, n),
+                                      functools.partial(lists.gf_Dn, n))
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except ValueError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize("name", ["gf_ruler", "gf_D0", "gf_Dn", *PACKED])
+def test_edge_calls_return_or_raise_as_the_list_builders(name):
+    # the shift (or n) is checked first, then a negative order, then the
+    # limit: the limit before any mask or list is built
+    build, reference = getattr(series, name), getattr(lists, name)
+    arity = build.__code__.co_argcount
+    firsts = [-1, 0, 1, 10**18] if arity == 2 else [None]
+    for first in firsts:
+        for order in (-1, 0, 1, 2, limits.OUTPUT + 1, 10**18):
+            args = (order,) if first is None else (first, order)
+            assert _outcome(build, *args) == _outcome(reference, *args), args

@@ -16,7 +16,7 @@ from array import array
 
 import pytest
 
-from metafib import codes, sequences as sq, trees
+from metafib import codes, sequences as sq, series, trees
 
 
 def line_events(fn, *args) -> int:
@@ -45,25 +45,34 @@ def line_events(fn, *args) -> int:
     return count
 
 
-# (function, c, c0): at 60 bits as_descent reads 545, as_via_a0 228 (235 at
-# 59 bits) and locate 365.  The per-step descent before the offset form read
-# 628 at 60 bits, past as_descent's 8·60 + 80 = 560.
+# (function, c, c0, whether it takes a shift s < 7 first): at 60 bits
+# as_descent reads 545, as_via_a0 228 (235 at 59 bits), locate 365, d 226,
+# leaves_in_prefix 361, is_leaf_oracle 362, b_seq 216 and a_max 197.  The
+# per-step descent before the offset form read 628 at 60 bits, past
+# as_descent's 8·60 + 80 = 560.
 POINT_BOUNDS = [
-    (sq.as_descent, 8, 80),
-    (sq.as_via_a0, 4, 20),
-    (trees.locate, 6, 40),
+    (sq.as_descent, 8, 80, True),
+    (sq.as_via_a0, 4, 20, True),
+    (trees.locate, 6, 40, True),
+    (sq.d, 4, 40, True),
+    (trees.leaves_in_prefix, 6, 40, True),
+    (trees.is_leaf_oracle, 6, 40, True),
+    (codes.b_seq, 4, 40, False),
+    (codes.a_max, 4, 40, False),
 ]
 
 
-@pytest.mark.parametrize("fn, c, c0", POINT_BOUNDS, ids=lambda v: getattr(v, "__name__", v))
-def test_point_queries_take_linear_in_bit_length_steps(monkeypatch, fn, c, c0):
+@pytest.mark.parametrize("fn, c, c0, shifted", POINT_BOUNDS,
+                         ids=[f"{fn.__name__}-{c}-{c0}" for fn, c, c0, _ in POINT_BOUNDS])
+def test_point_queries_take_linear_in_bit_length_steps(monkeypatch, fn, c, c0, shifted):
     # a cold descent memo, so as_descent's count reads no earlier test's
     # starts; every n here is past the memo bound, so it stays empty
     monkeypatch.setattr(sq, "_descent_memo", array("I", [0]) * (sq._DESCENT_MEMO_TOP + 1))
     rng = random.Random(29)
     over = {}
     for b in range(18, 61):
-        worst = max(line_events(fn, rng.randrange(7), rng.randrange(1 << (b - 1), 1 << b))
+        worst = max(line_events(fn, *[rng.randrange(7)] * shifted,
+                                rng.randrange(1 << (b - 1), 1 << b))
                     for _ in range(200))
         if worst > c * b + c0:
             over[b] = worst
@@ -78,6 +87,38 @@ def test_greedy_tree_unbounded_takes_linear_in_bit_length_steps():
           *(1 << k for k in range(10, 17)), *((1 << k) + 1 for k in range(10, 16))]
     over = {n: w for n in ns
             if (w := line_events(codes.greedy_tree_unbounded, n)) > 8 * n.bit_length() + 20}
+    assert not over, over
+
+
+# (builder, c, c0, the shifts or word indices it is built for): at order
+# 2**16 gf_ruler reads 105, gf_D0 73, gf_Dn 74, gf_Ds_sum 135, gf_Ds_nested
+# 91, gf_A_from_D 140, gf_Ps 154 and gf_As 174.  The list builders before
+# the packed form read 262,208 (gf_ruler), 628 (gf_As), 619 (gf_Ds_nested)
+# and 185 (gf_Ds_sum); gf_ruler's loop over the order's cells is the one
+# that is not polylog.
+SHIFTS = (0, 1, 3, 9, 50, 10**18)
+SERIES_BOUNDS = [
+    (series.gf_ruler, 6, 30, None),
+    (series.gf_D0, 4, 30, None),
+    (series.gf_Dn, 4, 30, (0, 1, 5, 22, 10**18)),
+    (series.gf_Ds_sum, 8, 30, SHIFTS),
+    (series.gf_Ds_nested, 4, 40, SHIFTS),
+    (series.gf_A_from_D, 8, 40, SHIFTS),
+    (series.gf_Ps, 8, 40, SHIFTS),
+    (series.gf_As, 8, 50, SHIFTS[1:]),
+]
+
+
+@pytest.mark.parametrize("build, c, c0, firsts", SERIES_BOUNDS,
+                         ids=[build.__name__ for build, *_ in SERIES_BOUNDS])
+def test_series_builders_take_linear_in_bit_length_steps(build, c, c0, firsts):
+    # the shifts and products are big-int steps in C, so the count follows
+    # the order's bit length only
+    orders = [*range(300), *((1 << k) + d for k in range(9, 17) for d in (-1, 0, 1))]
+    calls = [(order,) if firsts is None else (first, order)
+             for order in orders for first in (firsts or [None])]
+    over = {args: w for args in calls
+            if (w := line_events(build, *args)) > c * args[-1].bit_length() + c0}
     assert not over, over
 
 

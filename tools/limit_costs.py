@@ -12,7 +12,7 @@ interpreter and the import of ``metafib``).  CLI output goes to
 under every other peak.  Exits 1 naming the first case whose child fails.
 Each child is this script run with ``--case INDEX``.  Quote costs from a
 run without ``-X dev``, whose debug allocator hooks add time and memory.
-Stdlib only, POSIX only (``resource``); about 45 s.
+Stdlib only, POSIX only (``resource``); about 16 s.
 """
 
 import contextlib
@@ -58,8 +58,13 @@ CASES = [
     ("codes bseq --to 2**22", _cli("codes", "bseq", "--to", OUT)),
     *[(f"gf {w} --order 2**16", _cli("gf", w, "--order", limits.GF_ORDER))
       for w in ("ruler", "D", "A", "P")],
-    ("gf_As(1, 2**22)", _each(series.gf_As, [(1, OUT)])),
+    ("gf_ruler(2**22)", _each(series.gf_ruler, [(OUT,)])),
+    ("gf_D0(2**22)", _each(series.gf_D0, [(OUT,)])),
+    ("gf_Ds_sum(1, 2**22)", _each(series.gf_Ds_sum, [(1, OUT)])),
     ("gf_Ds_nested(1, 2**22)", _each(series.gf_Ds_nested, [(1, OUT)])),
+    ("gf_A_from_D(1, 2**22)", _each(series.gf_A_from_D, [(1, OUT)])),
+    ("gf_As(1, 2**22)", _each(series.gf_As, [(1, OUT)])),
+    ("gf_Ps(1, 2**22)", _each(series.gf_Ps, [(1, OUT)])),
     ("counts_up_to(1, 2**20)", _each(compositions.counts_up_to, [(1, limits.COUNT)])),
     ("counts_to_code, 2**22 leaves",
      _each(codes.counts_to_code, [([1 << k for k in range(OUT.bit_length() - 1)],)])),
