@@ -6,8 +6,6 @@ w[i-1]) so that string positions line up with series exponents.
 
 from __future__ import annotations
 
-import operator
-
 from . import limits, sequences
 
 # D_n and E_n have 2**(n+1) - 1 characters; past n = 64, 2**65 - 1 stands in.
@@ -64,17 +62,18 @@ def ruler_factorization(s: int, terms: int) -> str:
 
     The bonus is s whenever j is a power of two (1 included).  The runs
     are the gaps of p, so the output has p(s, terms + 1) - 1 characters.
+    Doubling: leaves 2**k + 1 .. 2**(k+1) - 1 repeat the runs of 1 .. 2**k - 1.
     """
     if s < 0 or terms < 1:
         raise ValueError("ruler_factorization needs s >= 0, terms >= 1")
     limits.check("ruler_factorization length", sequences.p(s, terms + 1) - 1, "OUTPUT")
-    # one string per lowest set bit j & -j = 2**(ruler(j) - 1), read in C
-    pieces = {1 << i: "1" + "0" * i for i in range(terms.bit_length())}
-    lows = map(operator.and_, range(1, terms + 1), range(-1, -terms - 1, -1))
-    stream = list(map(pieces.__getitem__, lows))
-    for i in range(terms.bit_length()):  # the powers of two up to terms
-        stream[(1 << i) - 1] = "1" + "0" * (i + s)  # ruler(2**i) + s - 1 zeros
-    return "".join(stream)
+    top = terms.bit_length() - 1
+    runs = plain = ""  # leaves 1 .. 2**k - 1, with and without the bonus
+    for k in range(top):  # leaf 2**k: ruler(2**k) - 1 = k zeros, then the bonus
+        runs += "1" + "0" * (k + s) + plain
+        plain += "1" + "0" * k + plain
+    # leaf 2**top, then r = terms - 2**top runs of plain: ruler(1..r) sums to p(0, r + 1) - 1
+    return runs + "1" + "0" * (top + s) + plain[: sequences.p(0, terms - (1 << top) + 1) - 1]
 
 
 def morphism_fixed_point(length: int) -> str:

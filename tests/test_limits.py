@@ -10,9 +10,10 @@ value deltas is one, by the CLI's exit-code contract.  `verify` takes no
 integer option.
 
 Not swept: values exactly at a limit, which are accepted.  The dumps at
-their limits are run on their own: `seq a|d|p --to limits.OUTPUT` under a far
-tighter cap, and `codes mtable --nmax 2049`, `codes amax --to 2**22 + 1`
-and `codes bseq --to 2**22` under the sweep's 1 GiB cap.
+their limits are run on their own: `seq a|d|p --to limits.OUTPUT` and
+`word runs --terms 2**21 + 1` under a far tighter cap, and `codes mtable
+--nmax 2049`, `codes amax --to 2**22 + 1` and `codes bseq --to 2**22`
+under the sweep's 1 GiB cap.
 """
 
 import functools
@@ -65,7 +66,7 @@ SWEEP = [
 ]
 
 # A seq a window at or above 10**12 still grows the shift table up to its
-# last index (ROADMAP item 3), so at 10**18 it runs until it is stopped.
+# last index (ROADMAP item 2), so at 10**18 it runs until it is stopped.
 TABLE_WINDOW = pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
                                  reason="seq a windows grow the table to --to")
 
@@ -119,6 +120,16 @@ def test_seq_dump_at_the_limit_fits_a_small_address_space(which):
     assert result.stdout.count("\n") == OUT
     last = getattr(sequences, which)(1, OUT)
     assert result.stdout.endswith(f"\n{last}\n")
+
+
+def test_word_runs_at_the_limit_fits_a_small_address_space():
+    # 2**21 + 1 terms of shift 0 fill exactly limits.OUTPUT characters
+    terms = 2**21 + 1
+    result = run_metafib("word", "runs", "--terms", str(terms), timeout=60,
+                         preexec_fn=functools.partial(cap_child_memory, DUMP_CAP))
+    assert result.returncode == 0, result.stderr[-500:]
+    assert len(result.stdout) == OUT + 1 and result.stdout.endswith("\n")
+    assert result.stdout.count("1") == terms
 
 
 def test_seq_d_window_at_huge_n_matches_the_tree():

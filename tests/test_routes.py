@@ -107,9 +107,10 @@ def _roots(bodies):
     return roots
 
 
-def reached() -> set:
+def reach(roots) -> set:
+    """Every (module, name) body the walk from roots runs, roots included."""
     bodies, modules, imported = _index()
-    seen, todo = set(), list(_roots(bodies))
+    seen, todo = set(), list(roots)
     while todo:
         key = todo.pop()
         if key in seen or key not in bodies:
@@ -128,6 +129,10 @@ def reached() -> set:
     return seen
 
 
+def reached() -> set:
+    return reach(_roots(_index()[0]))
+
+
 def exports() -> set:
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     return {(node.module, alias.name) for node in tree.body
@@ -142,3 +147,11 @@ def test_every_export_sits_on_a_route():
 def test_the_named_exceptions_are_exports_still_off_every_route():
     assert UNROUTED <= exports()
     assert not UNROUTED & reached()
+
+
+def test_the_compared_word_routes_share_only_the_limit_check():
+    # "run-length factorization rebuilds the leaf stream" compares these
+    # two; were one built on the other, it would compare a route with itself
+    runs = reach([("words", "ruler_factorization")])
+    stream = reach([("words", "dword_prefix")])
+    assert runs & stream == {("limits", "check")}

@@ -16,7 +16,7 @@ from array import array
 
 import pytest
 
-from metafib import codes, sequences as sq, series, trees
+from metafib import codes, sequences as sq, series, trees, words
 
 
 def line_events(fn, *args) -> int:
@@ -119,6 +119,17 @@ def test_series_builders_take_linear_in_bit_length_steps(build, c, c0, firsts):
              for order in orders for first in (firsts or [None])]
     over = {args: w for args in calls
             if (w := line_events(build, *args)) > c * args[-1].bit_length() + c0}
+    assert not over, over
+
+
+def test_ruler_factorization_takes_linear_in_bit_length_steps():
+    # 4·bitlen(terms) + 20: it reads 3·bitlen(terms) + 11 at every terms
+    # and shift, 62 at 2**16, one doubling step a bit; the per-term piece
+    # list it replaced, built in C, read 64 there.  A loop over the terms
+    # in Python would read past 2**16.
+    terms = [*range(1, 300), *((1 << k) + d for k in range(9, 21) for d in (-1, 0, 1))]
+    over = {(s, t): w for s in (0, 1, 3, 9, 50) for t in terms
+            if (w := line_events(words.ruler_factorization, s, t)) > 4 * t.bit_length() + 20}
     assert not over, over
 
 

@@ -72,31 +72,40 @@ def test_ruler_factorization_length_and_guard():
             words.ruler_factorization(s, terms)
 
 
-def ruler_runs_per_term(s, terms):
-    """The run-length factorization built one term at a time."""
-    chunks = []
-    for j in range(1, terms + 1):
-        run = sq.ruler(j) + (s if sq.is_power_of_two(j) else 0)
-        chunks.append("1" + "0" * (run - 1))
-    return "".join(chunks)
+def ruler_runs(s, terms):
+    """The runs of leaves 1..terms, one string each, built one term at a time."""
+    return ["1" + "0" * (sq.ruler(j) + (s if sq.is_power_of_two(j) else 0) - 1)
+            for j in range(1, terms + 1)]
 
 
 def test_ruler_factorization_matches_the_per_term_runs():
     # each term count's word is a prefix of the longest one's
     counts = [*range(1, 301), *(2**k for k in range(18))]
     for s in range(7):
-        reference = ruler_runs_per_term(s, max(counts))
+        reference = "".join(ruler_runs(s, max(counts)))
         for terms in counts:
             assert words.ruler_factorization(s, terms) == reference[: sq.p(s, terms + 1) - 1]
     s = 10**5  # the bonus pieces dwarf the ruler's
-    reference = ruler_runs_per_term(s, 40)
+    reference = "".join(ruler_runs(s, 40))
     for terms in range(1, 41):
         assert words.ruler_factorization(s, terms) == reference[: sq.p(s, terms + 1) - 1]
+    # around every power of two up to 2**17, and at the largest shifts the
+    # limit admits for one and two terms (2**22 and 2**22 - 1 characters):
+    # each word against the join of exactly its runs, so neither side's
+    # length comes from p
+    around = sorted({(1 << k) + d for k in range(18) for d in (-1, 0, 1)} - {0})
+    for s, counts in ((0, around), (1, around), (7, around), (2**22 - 1, [1]), (2**21 - 2, [2])):
+        runs = ruler_runs(s, counts[-1])
+        for terms in counts:
+            built = words.ruler_factorization(s, terms)
+            assert built == "".join(runs[:terms]), (s, terms)
+            assert built.count("1") == terms
 
 
 def test_ruler_factorization_peak_memory_per_term():
-    # one 8-byte slot per term for its piece, then the word itself: the
-    # join reads that list, no second list of the terms is built
+    # the runs with and without the bonus, 2 bytes a term each, then two
+    # temporary copies of the first as the word is concatenated: 8.0 bytes
+    # a term.  The per-term piece list it replaced read 10.7.
     terms = 2**17
     tracemalloc.start()
     try:
@@ -104,7 +113,7 @@ def test_ruler_factorization_peak_memory_per_term():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * terms, peak / terms
+    assert peak <= 9 * terms, peak / terms
 
 
 def test_morphism_values():
