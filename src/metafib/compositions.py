@@ -2,16 +2,16 @@
 
 For shift s >= 1 a composition of n is a sequence x_0, x_1, ..., x_k with
 x_0 in {1, ..., s} and x_i in {s, 2**i + s - 1} for i >= 1, summing to n.
-The number of them is a(s, n); the count here is computed by a layered
-dynamic program that never touches the recurrence.  The layers are run
-only while the big part 2**i + s - 1 still fits under the limit; past
-that, only the part s fits, so the remaining layers are shifts of the last
-one by s, 2s, ... and are folded in with one strided running sum.
+The number of them is a(s, n); the count here is a layered dynamic program,
+one 32-bit field a target, that never touches the recurrence.  The layers
+run only while the big part 2**i + s - 1 fits under the limit; past that
+only the part s fits, so the rest is the last layer times 1/(1 - z**s),
+the product of the (1 + z**(s * 2**j)) with s * 2**j <= limit.
 """
 
 from __future__ import annotations
 
-from operator import add
+import struct
 
 from . import limits
 
@@ -32,32 +32,31 @@ def part_choices(s: int, i: int) -> tuple:
 def counts_up_to(s: int, limit: int) -> list:
     """Composition counts for every target 0..limit (index 0 is 0).
 
-    layer[r] holds the number of ways to reach sum r using positions
-    0..i exactly; each finished layer is folded into the totals.  Once the
-    big part 2**i + s - 1 exceeds limit, position i and every later one can
-    only take the part s, so the layers still to come are the current one
-    shifted by s, 2s, ...; a strided running sum adds them all at once.
-    O(limit * log limit) in all.
+    Field r (32 bits) of layer counts the ways to reach sum r using
+    positions 0..i exactly; each finished layer is added to the total.
+    Once the big part 2**i + s - 1 exceeds limit, every later position
+    takes only the part s, so the layers to come are the current one times
+    z**s, z**2s, ...: the product of (1 + z**(s * 2**j)) adds them all.  No
+    field carries: each holds at most a(s, r) <= r < 2**31.  O(log limit)
+    Python steps, each a C-level shift, add and mask.
     """
     if s < 1:
         raise ValueError("composition rules need s >= 1")
     if limit < 0:
         raise ValueError("limit must be >= 0")
     limits.check("counts_up_to target", limit, "COUNT")
-    total = [0] * (limit + 1)
-    layer = [0] * (limit + 1)
-    for x in range(1, min(s, limit) + 1):
-        layer[x] = 1
+    mask = (1 << 32 * (limit + 1)) - 1
+    layer = ((1 << 32 * min(s, limit)) - 1) // 0xFFFFFFFF << 32
+    total = 0
     i = 1
     while (big := (1 << i) + s - 1) <= limit:
-        total = list(map(add, total, layer))
-        nxt = [0] * s + layer[: limit + 1 - s]
-        nxt[big:] = map(add, nxt[big:], layer[: limit + 1 - big])
-        layer = nxt
+        total += layer
+        layer = ((layer << 32 * s) + (layer << 32 * big)) & mask
         i += 1
-    for r in range(s, limit + 1):
-        layer[r] += layer[r - s]
-    return list(map(add, total, layer))
+    for j in range((limit // s).bit_length()):  # s * 2**j <= limit
+        layer += (layer << 32 * (s << j)) & mask
+    return list(struct.unpack(f"<{limit + 1}I",
+                              (total + layer).to_bytes(4 * (limit + 1), "little")))
 
 
 def count_compositions(s: int, n: int) -> int:

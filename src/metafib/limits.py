@@ -24,8 +24,8 @@ N > OUTPUT itself; ``cli`` checks only its windows, ``mtable`` cells and
 # of it the 2**22 + 1 ints returned.  D_n and E_n stop at n = 21.
 OUTPUT = 1 << 22
 GF_ORDER = 1 << 16  # largest `gf --order`: 0.02-0.03 s and 18-20 MB, any series
-# Largest target counts_up_to builds its O(limit) lists for: s = 1 takes
-# 2.5 s and 121 MB peak RSS; 2**22 took 9.6 s and 400 MB.
+# Largest target counts_up_to packs into one int of 32-bit fields and returns
+# as a list: s = 1 takes 0.25 s and 87 MB peak RSS; 2**22 took 0.89 s, 283 MB.
 COUNT = 1 << 20
 # Most leaves enumerate_codes (and so M_oracle) walks: its 1639 codes in
 # 0.012 s, and M_oracle(16, h) for every h in 0.028 s.

@@ -1,4 +1,5 @@
 import time
+from operator import add
 
 import pytest
 
@@ -96,6 +97,40 @@ def test_counts_where_the_layers_give_way_to_the_fold():
     counted = counts_up_to(1, 20000)
     assert time.perf_counter() - start < 2.0
     assert counted[1:] == recurrence(1).values(0, 20000)[1:]
+
+
+def list_counts(s, limit):
+    """counts_up_to as it was before its packed form, a list dynamic program
+    kept verbatim as a reference: boxed-int layers mapped with add, and the
+    tail folded by a strided running sum over every target."""
+    total = [0] * (limit + 1)
+    layer = [0] * (limit + 1)
+    for x in range(1, min(s, limit) + 1):
+        layer[x] = 1
+    i = 1
+    while (big := (1 << i) + s - 1) <= limit:
+        total = list(map(add, total, layer))
+        nxt = [0] * s + layer[: limit + 1 - s]
+        nxt[big:] = map(add, nxt[big:], layer[: limit + 1 - big])
+        layer = nxt
+        i += 1
+    for r in range(s, limit + 1):
+        layer[r] += layer[r - s]
+    return list(map(add, total, layer))
+
+
+def test_packed_counts_equal_the_list_dynamic_program():
+    # every limit up to 139, and the limits where the last big part
+    # 2**k + s - 1 fits or just fails; shifts past the limit, where only the
+    # first position counts; two large limits
+    calls = [(s, limit) for s in range(1, 70) for limit in (*range(140), 1000, 4097)]
+    calls += [(s, (1 << k) + s + e) for s in (1, 2, 3, 7) for k in range(2, 17)
+              for e in (-2, -1, 0)]
+    calls += [(s, limit) for s in (10**18, 1 << 22, (1 << 20) + 1) for limit in range(40)]
+    calls += [(s, 3000) for s in (100, 5000, 1 << 20)]
+    calls += [(3, 10**5), (1, 1 << 17)]
+    for s, limit in calls:
+        assert counts_up_to(s, limit) == list_counts(s, limit), (s, limit)
 
 
 def test_counts_match_product_generating_function():

@@ -12,6 +12,8 @@ with their class.  Annotations are never evaluated, so they reach nothing.
 import ast
 import pathlib
 
+import pytest
+
 import metafib
 
 PACKAGE = pathlib.Path(metafib.__file__).parent
@@ -149,9 +151,23 @@ def test_the_named_exceptions_are_exports_still_off_every_route():
     assert not UNROUTED & reached()
 
 
-def test_the_compared_word_routes_share_only_the_limit_check():
-    # "run-length factorization rebuilds the leaf stream" compares these
-    # two; were one built on the other, it would compare a route with itself
-    runs = reach([("words", "ruler_factorization")])
-    stream = reach([("words", "dword_prefix")])
-    assert runs & stream == {("limits", "check")}
+# Pairs of routes that are compared with each other, each side as the roots
+# its comparison calls, and where the comparison is made.  Were one side
+# built on the other, or both on one helper, the comparison would check a
+# route against itself, so the two may share only the limit check.
+SHARED = {("limits", "check")}
+TABLE = (("sequences", "SequenceTable"), ("sequences", "SequenceTable.values"))
+COMPARED = [
+    ("run-length factorization rebuilds the leaf stream",
+     (("words", "ruler_factorization"),), (("words", "dword_prefix"),)),
+    ("composition counts equal the leaf counts", (("compositions", "counts_up_to"),), TABLE),
+    ("test_counts_match_product_generating_function",
+     (("compositions", "counts_up_to"),), (("series", "gf_As"),)),
+    ("leaf-position generating function", (("series", "gf_Ps"),), (("sequences", "p_window"),)),
+]
+
+
+@pytest.mark.parametrize("where, one, other", COMPARED,
+                         ids=[f"{one[0][1]}-{other[0][1]}" for _, one, other in COMPARED])
+def test_compared_routes_share_only_the_limit_check(where, one, other):
+    assert reach(one) & reach(other) <= SHARED, where

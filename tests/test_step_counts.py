@@ -6,17 +6,19 @@ the count of one call is exact and repeatable on any host.  Line events do
 not see work done in C, such as big-int arithmetic or building a list, so
 these counts bound Python steps, not time; the wall-clock budgets of the
 other tests stay.  Each bound is c·bitlen(n) + c0 with the constants stated
-beside it, held by the worst of 200 random n per bit length.
+beside it, held by the worst of 200 random n per bit length.  One bound is
+on memory instead: tracemalloc's peak, also exact on one Python version.
 """
 
 import gc
 import random
 import sys
+import tracemalloc
 from array import array
 
 import pytest
 
-from metafib import codes, sequences as sq, series, trees, words
+from metafib import codes, compositions, sequences as sq, series, trees, words
 
 
 def line_events(fn, *args) -> int:
@@ -131,6 +133,33 @@ def test_ruler_factorization_takes_linear_in_bit_length_steps():
     over = {(s, t): w for s in (0, 1, 3, 9, 50) for t in terms
             if (w := line_events(words.ruler_factorization, s, t)) > 4 * t.bit_length() + 20}
     assert not over, over
+
+
+def test_counts_up_to_takes_linear_in_bit_length_steps():
+    # 8·bitlen(limit) + 20: counts_up_to(1, 2**16) reads 112, four lines a
+    # layer and two a tail factor, as the layer steps and the tail product
+    # are big-int steps in C.  The list dynamic program it replaced, whose
+    # tail was a Python loop over the targets, read 131182 there.
+    limits = [*range(300), *((1 << k) + d for k in range(9, 20) for d in (-1, 0, 1))]
+    over = {(s, n): w for s in (1, 2, 3, 7, 50, 10**18) for n in limits
+            if (w := line_events(compositions.counts_up_to, s, n)) > 8 * n.bit_length() + 20}
+    assert not over, over
+
+
+def test_counts_up_to_peak_memory_per_target():
+    # the returned list, the tuple struct.unpack decodes into and the ints in
+    # them, 8 + 8 + 28 bytes a target, beside the packed layer, total and
+    # mask at 4 bytes each: 56.7 bytes a target at s = 1, 54.6 at s = 3.
+    # The list dynamic program it replaced read 89.5.
+    limit = 2**18
+    for s in (1, 3):
+        tracemalloc.start()
+        try:
+            compositions.counts_up_to(s, limit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * limit, (s, peak / limit)
 
 
 def test_line_events_restores_the_tracer_and_the_collector():

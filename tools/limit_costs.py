@@ -12,7 +12,7 @@ interpreter and the import of ``metafib``).  CLI output goes to
 under every other peak.  Exits 1 naming the first case whose child fails.
 Each child is this script run with ``--case INDEX``.  Quote costs from a
 run without ``-X dev``, whose debug allocator hooks add time and memory.
-Stdlib only, POSIX only (``resource``); about 16 s.
+Stdlib only, POSIX only (``resource``); about 12 s.
 """
 
 import contextlib
