@@ -55,7 +55,7 @@ def _cmd_seq(args, out):
     window = _window(args, 1)
     if args.which == "a":  # the shift table, grown to the window's end
         read = sequences.table(args.s).values
-    else:  # the closed form of p, or the leaf labels marked
+    else:  # the closed form of p, or the leaf flags joined from p's gaps
         kernel = sequences.p_window if args.which == "p" else sequences.d_window
         read = functools.partial(kernel, args.s)
     _emit_window(window, read, args.format, out)

@@ -164,6 +164,8 @@ COMPARED = [
     ("test_counts_match_product_generating_function",
      (("compositions", "counts_up_to"),), (("series", "gf_As"),)),
     ("leaf-position generating function", (("series", "gf_Ps"),), (("sequences", "p_window"),)),
+    *(("closed-form evaluators match the recurrence", (("sequences", name),), TABLE)
+      for name in ("as_via_a0", "as_descent", "a_window", "a0_fast", "a1_fast")),
 ]
 
 

@@ -665,6 +665,104 @@ def test_a_window_at_huge_n_matches_the_descent():
                     == [trees.is_leaf_oracle(s, n) for n in window]), (s, lo)
 
 
+# p_window packs a run (one bit length, one k >> 12) into 64-bit cells when
+# its offset p(s, n) at t = k mod 2^12 = 0 is at most 2^64 - 2^13, and takes
+# the per-value form past it; d_window gives a leaf at a multiple of 2^12
+# or at a power of two a piece of its own.
+PACK_TOP = 2**64 - 2**13
+
+
+def _run_with_offset(offset):
+    """(s, lo) where lo - 1 is a multiple of 2^12 of bit length 20..40, so
+    lo starts a whole run of 2^12 values, and p(s, lo) is offset."""
+    for b in range(20, 41):
+        for high in range(1 << (b - 13), 1 << (b - 12)):
+            rest = offset - 1 - (high << 13) + high.bit_count()
+            if rest % b == 0:
+                return rest // b, (high << 12) + 1
+    raise AssertionError(offset)
+
+
+def _p_per_value(s, lo, hi):
+    return [sq.p(s, n) for n in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("offset", [PACK_TOP - 1, PACK_TOP, PACK_TOP + 1,
+                                    2**64 - 8178, 2**64 - 1, 2**64])
+def test_p_window_on_both_sides_of_the_packing_switch(offset):
+    # at offset 2**64 - 8178 the run's last value, t = 2^12 - 1, is 2**64
+    s, lo = _run_with_offset(offset)
+    assert sq.p(s, lo) == offset
+    for first, last in ((lo - 20, lo + 4096 + 20), (lo, lo + 4095), (lo + 4000, lo + 4095),
+                        (lo + 4080, lo + 4095), (lo + 4095, lo + 4095)):
+        assert sq.p_window(s, first, last) == _p_per_value(s, first, last), (s, first, last)
+
+
+def test_p_window_where_values_pass_64_bits():
+    # s = 10^18: k of 18 bits packs (values below 1.9·10^19), of 19 bits
+    # not; near n = 2^63 the last runs of 63 bits pack only for s = 0
+    windows = [(10**18, 2**18 - 4200, 2**18 + 4200), (10**18, 2**17 - 40, 2**17 + 4200)]
+    windows += [(s, 2**63 - 5000, 2**63 + 5000) for s in (0, 1, 3)]
+    for s, lo, hi in windows:
+        assert sq.p_window(s, lo, hi) == _p_per_value(s, lo, hi), (s, lo, hi)
+    # the offset of the last 63-bit run, k = 2^63 - 2^12, is 2^64 - 8242 + 63s
+    assert sq.p(0, 2**63 - 4095) <= PACK_TOP < sq.p(1, 2**63 - 4095)
+
+
+def test_p_window_runs_across_multiples_of_2_12():
+    for s in (0, 1, 5, 10**18):
+        for m in (1, 2, 3, 7, 2**20, 2**40 + 3, 10**12):
+            n = m * 4096 + 1  # k = n - 1 starts a run
+            for lo, hi in ((n - 1, n), (n - 40, n + 40), (n - 3000, n + 3000),
+                           (n - 4096, n + 4095), (n, n + 15)):
+                assert sq.p_window(s, lo, hi) == _p_per_value(s, lo, hi), (s, lo, hi)
+
+
+def _own_piece_windows(s, leaves):
+    """Windows about the labels of the given leaves: a leaf at a multiple of
+    2^12 or a power of two takes its own piece, ruler(k) (+ s) labels."""
+    for k in leaves:
+        label, gap = sq.p(s, k), sq.p(s, k + 1) - sq.p(s, k)
+        yield from ((max(1, label - 1), label), (label, label), (max(1, label - 30), label + 40),
+                    (label, label + gap), (label + gap - 1, label + gap + 5),
+                    (label + 1, label + gap - 1))
+
+
+def test_d_and_a_windows_about_own_pieces_match_the_table():
+    leaves = [*(1 << j for j in range(14)), 4096, 8192, 3 * 4096, 5 * 4096]
+    for s in (0, 1, 2, 3, 50):
+        t = recurrence(s)
+        windows = [*_own_piece_windows(s, leaves)]
+        windows += [(max(1, sq.p(s, k) - 5000), sq.p(s, k) + 5000) for k in (4096, 3 * 4096)]
+        for lo, hi in windows:
+            assert sq.d_window(s, lo, hi) == _d_from_table(t, lo, hi), (s, lo, hi)
+            assert sq.a_window(s, lo, hi) == t.values(lo, hi), (s, lo, hi)
+
+
+def test_d_and_a_windows_about_own_pieces_at_huge_n():
+    leaves = [2**40, 2**40 + 4096, 2**52 - 4096, 10**12 * 4096, 2**58]
+    for s in (0, 1, 7, 10**18):
+        for lo, hi in _own_piece_windows(s, leaves):
+            hi = min(hi, lo + 80)  # the oracles answer one label a call
+            assert sq.d_window(s, lo, hi) == [trees.is_leaf_oracle(s, n)
+                                              for n in range(lo, hi + 1)], (s, lo, hi)
+            assert sq.a_window(s, lo, hi) == [sq.as_descent(s, n)
+                                              for n in range(lo, hi + 1)], (s, lo, hi)
+
+
+def test_short_windows_at_1e17():
+    for s in (0, 1, 2, 7, 10**18):
+        starts = [10**17, 10**17 + 1, 10**17 + 4095, sq.p(s, 2**44), sq.p(s, 2**44) - 15]
+        for lo in starts:
+            for hi in (lo, lo + 15):
+                labels = range(lo, hi + 1)
+                assert sq.p_window(s, lo, hi) == _p_per_value(s, lo, hi), (s, lo, hi)
+                assert sq.d_window(s, lo, hi) == [trees.is_leaf_oracle(s, n)
+                                                  for n in labels], (s, lo, hi)
+                assert sq.a_window(s, lo, hi) == [sq.as_descent(s, n)
+                                                  for n in labels], (s, lo, hi)
+
+
 def test_windows_reject_bad_arguments():
     for kernel in (sq.p_window, sq.a_window, sq.d_window):
         for s, lo in ((-1, 5), (2, 0), (2, -3)):

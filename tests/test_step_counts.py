@@ -162,6 +162,30 @@ def test_counts_up_to_peak_memory_per_target():
         assert peak <= 64 * limit, (s, peak / limit)
 
 
+# (kernel, c, c0): a window kernel's count is c·(⌈window/2^12⌉ + bitlen(hi))
+# + c0, one loop pass a run or piece of 2^12 leaves and a few for each
+# power of two below 2^12.  The worst over the grid below, at lo = 1 and
+# 2^14 values, s = 10^18 for p_window and 0 for the walk: p_window 233,
+# d_window 202 and a_window 206, of a bound of 8·19 + 100 = 252.  The walk
+# that marked each leaf label in a Python loop read 16541 there (d_window)
+# and 4150-4220 for 2^12 labels at s = 1.
+WINDOW_BOUNDS = [(sq.p_window, 8, 100), (sq.d_window, 8, 100), (sq.a_window, 8, 100)]
+
+
+@pytest.mark.parametrize("kernel, c, c0", WINDOW_BOUNDS,
+                         ids=[kernel.__name__ for kernel, *_ in WINDOW_BOUNDS])
+def test_window_kernels_take_linear_in_chunks_and_bit_length_steps(kernel, c, c0):
+    over = {}
+    for s in (0, 1, 3, 50, 10**18):
+        for lo in (1, 10**6, 10**12, 10**18):
+            for width in (1, 1 << 12, 1 << 14):
+                hi = lo + width - 1
+                count = line_events(kernel, s, lo, hi)
+                if count > c * (-(-width // 4096) + hi.bit_length()) + c0:
+                    over[s, lo, width] = count
+    assert not over, over
+
+
 def test_line_events_restores_the_tracer_and_the_collector():
     def outer(frame, event, arg):
         return None

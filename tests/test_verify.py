@@ -76,8 +76,8 @@ def test_walk_start_off_by_one_fails_the_evaluators(monkeypatch, delta):
 
 
 def test_p_window_error_at_a_bit_length_boundary_fails_the_p_gf(monkeypatch):
-    # p(1, 129) is the first value whose k = 128 has 8 bits; the walk marks
-    # the leaf labels p_window gives, so it fails at that label as well
+    # p(1, 129) is the first value whose k = 128 has 8 bits; the walk reads
+    # p's gaps, not p_window, so only the generating function notices
     real = sequences.p_window
 
     def planted(s, lo, hi):
@@ -87,11 +87,21 @@ def test_p_window_error_at_a_bit_length_boundary_fails_the_p_gf(monkeypatch):
     ok, lines = run_quick()
     assert not ok
     failed = [line for line in lines if not line.startswith("PASS")]
-    assert failed == [
-        "FAIL  closed-form evaluators match the recurrence: "
-        f"a_window(1,{sequences.p(1, 129)})",
-        "FAIL  leaf-position generating function: p gf s=1 n=129",
-    ]
+    assert failed == ["FAIL  leaf-position generating function: p gf s=1 n=129"]
+
+
+def test_wrong_gap_piece_fails_the_evaluators_at_its_leaf(monkeypatch):
+    # leaf 6's piece, a 1 and then ruler(6) - 1 = 1 zero, bytes 8..9 of the
+    # gap stream, planted as 0 then 1: the walk's flag moves one label on,
+    # so a_window first errs at leaf 6's label at shift 0
+    gaps = sequences._GAPS
+    assert gaps[8:10] == b"\1\0"
+    monkeypatch.setattr(sequences, "_GAPS", gaps[:8] + b"\0\1" + gaps[10:])
+    ok, lines = run_quick()
+    assert not ok
+    failed = [line for line in lines if not line.startswith("PASS")]
+    assert failed == ["FAIL  closed-form evaluators match the recurrence: "
+                      f"a_window(0,{sequences.p(0, 6)})"]
 
 
 def test_evaluator_sweep_memory_does_not_grow_with_the_sweep(monkeypatch):
