@@ -51,8 +51,27 @@ def _emit_pairs(indices, values, fmt, out):
         out.write((f"%d{sep}%d\n" * k) % tuple(flat))
 
 
+# d's flags 0 and 1 as the digits "0" and "1"; every other byte (the
+# newlines) stays as it is
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _emit_flags(window, s, out):
+    """Write d(s, n) for each n in window, one digit a line: a chunk's flags
+    fill every other byte of a run of newlines, and one translate turns
+    them into digits."""
+    for i in range(0, len(window), _CHUNK):
+        chunk = window[i : i + _CHUNK]
+        lines = bytearray(b"\n") * (2 * len(chunk))
+        lines[::2] = bytes(sequences.d_window(s, chunk[0], chunk[-1]))
+        out.write(lines.translate(_DIGITS).decode("ascii"))
+
+
 def _cmd_seq(args, out):
     window = _window(args, 1)
+    if args.which == "d" and args.format == "plain":
+        _emit_flags(window, args.s, out)
+        return 0
     if args.which == "a":  # the shift table, grown to the window's end
         read = sequences.table(args.s).values
     else:  # the closed form of p, or the leaf flags joined from p's gaps

@@ -9,10 +9,11 @@ N > OUTPUT itself; ``cli`` checks only its windows, ``mtable`` cells and
 # Most values one call builds or prints: a range dump or `mtable` cells, a word
 # or leaf stream, a greedy code or one built from level counts, a series' order
 # (order + 1 coefficients), a shift table's s + 3 seed values, a first part's s
-# choices or a part's position i (2**i + s - 1).  At the limit, all in one run:
-# `seq a --s 1` takes 2.3 s and 33 MB peak RSS (its shift table at 4 bytes a
-# value, one 2**12-value chunk formatted at a time); `seq p --s 1` reads the
-# closed form a bit-length run at a time (0.87 s), `seq d --s 1` (0.78 s) and
+# choices or a part's position i (2**i + s - 1).  At the limit, all in one run
+# (`seq a|d` in a later one): `seq a --s 1` takes 0.76 s and 33 MB peak RSS
+# (its shift table at 4 bytes a value, one 2**12-value chunk formatted at a
+# time); `seq p --s 1` reads the closed form a bit-length run at a time
+# (0.87 s), `seq d --s 1` (0.05 s, its flags formatted as bytes) and
 # `codes amax|bseq` at 2**22 values (1.01-1.05 s) one leaf-label walk a chunk,
 # 17 MB each, and `codes mtable --nmax 2049` one walk over a(0, 1..2048) read
 # backwards per row (0.05 s).  `word runs --terms 2097151` (2**22 - 23

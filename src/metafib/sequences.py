@@ -83,10 +83,18 @@ class SequenceTable:
     is): a(n) <= n, so every value fits below 2**31 labels, far past
     ``limits.OUTPUT``, and one that did not would make ``append`` raise
     ``OverflowError``, never wrap.  Every reader hands out ints or fresh
-    lists.  Its indices provably never escape the values already defined;
-    if one does, that is a bug and ``RuntimeError`` is raised.  Values already handed out never change;
-    growth is serialized by an internal lock so a table may be shared
-    across threads.
+    lists.
+
+    Each step reads one array item.  The second index of step m,
+    m - s - 1 - a(m - 2), is the first index of step m - 1,
+    (m - 1) - s - a(m - 2), so a(that index) rides in a local from one step
+    to the next; a call reads it once at its start.  Its indices provably
+    never escape the values already defined; if one does, that is a bug
+    and ``RuntimeError`` is raised.  Both indices are checked: the first
+    one at every step, and the second one as the first index of the step
+    before, or, for a call's first step, when the call reads it.
+    Values already handed out never change; growth is serialized by an
+    internal lock so a table may be shared across threads.
     """
 
     def __init__(self, shift: int):
@@ -106,21 +114,26 @@ class SequenceTable:
             m = len(vals)
             if m > n:
                 return
-            # a(m - 2) and a(m - 1) ride in locals, so each step reads
-            # (and boxes) two array items, not four
             append = vals.append
-            older, last = vals[m - 2], vals[m - 1]
-            while m <= n:
+            last = vals[m - 1]
+            # the first index of step m - 1, which is step m's second index
+            i = m - 1 - s - vals[m - 2]
+            if not 0 <= i < m - 1:
+                # Cannot happen if the recurrence is implemented correctly.
+                raise RuntimeError(
+                    f"recurrence argument out of range at shift={s} n={m}: {i}"
+                )
+            carried = vals[i]
+            for m in range(m, n + 1):
                 i = m - s - last
-                j = m - s - 1 - older
-                if not (0 <= i < m and 0 <= j < m):
-                    # Cannot happen if the recurrence is implemented correctly.
+                if not 0 <= i < m:
                     raise RuntimeError(
-                        f"recurrence argument out of range at shift={s} n={m}: {i}, {j}"
+                        f"recurrence argument out of range at shift={s} n={m}: {i}"
                     )
-                older, last = last, vals[i] + vals[j]
+                first = vals[i]
+                last = first + carried
                 append(last)
-                m += 1
+                carried = first
 
     def a(self, n: int) -> int:
         if n < 0:
@@ -281,12 +294,19 @@ def d_window(s: int, lo: int, hi: int) -> list:
     trimmed, never an error.  Empty when hi < lo.  O(window + log hi)
     bytes, O(window / 2^12 + log hi) Python steps; reads no table.
     """
+    return list(_leaf_flags(s, lo, hi)[0])
+
+
+def _leaf_flags(s: int, lo: int, hi: int) -> tuple:
+    """``d_window``'s flags as bytes, and the leaves before lo: a(s, lo - 1),
+    or 0 at lo = 1 (and when hi < lo)."""
     if s < 0 or lo < 1:
         raise ValueError("d_window needs s >= 0, lo >= 1")
     limits.check("d_window values", hi - lo + 1, "OUTPUT")
     if hi < lo:
-        return []
-    k = as_via_a0(s, lo - 1) + 1 if lo > 1 else 1
+        return b"", 0
+    before = as_via_a0(s, lo - 1) if lo > 1 else 0
+    k = before + 1
     label = start = p(s, k)
     pieces = [bytes(min(label, hi + 1) - lo)] if label > lo else []
     while label <= hi:
@@ -305,14 +325,15 @@ def d_window(s: int, lo: int, hi: int) -> list:
             label += gap
             k += 1
     skip = max(0, lo - start)
-    return list(b"".join(pieces)[skip : skip + hi - lo + 1])
+    return b"".join(pieces)[skip : skip + hi - lo + 1], before
 
 
 def a_window(s: int, lo: int, hi: int) -> list:
-    """Values a(s, lo..hi) as a list: the running sum of ``d_window``, which
-    checks the arguments, from a(s, lo - 1), or from 0 at lo = 1."""
-    flags = d_window(s, lo, hi)
-    out = list(accumulate(flags, initial=as_via_a0(s, lo - 1) if lo > 1 else 0))
+    """Values a(s, lo..hi) as a list: the running sum of ``d_window``'s
+    flags from a(s, lo - 1), or from 0 at lo = 1.  ``_leaf_flags`` checks
+    the arguments and finds that count once, for its first leaf and here."""
+    flags, before = _leaf_flags(s, lo, hi)
+    out = list(accumulate(flags, initial=before))
     del out[0]  # the count ahead of the window
     return out
 

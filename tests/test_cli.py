@@ -543,6 +543,20 @@ def test_bulk_seq_matches_per_value(capsys, which, fmt):
             assert out == reference_dump(which, s, lo, hi, fmt), (which, s, lo, hi)
 
 
+@pytest.mark.parametrize("s", [0, 3, 10**18])
+def test_seq_d_plain_matches_tsv_and_per_value(capsys, s):
+    # plain seq d is formatted from bytes, every other dump by the template
+    for lo, hi in [(1, 1), (4095, 4097), (1, 8193), (10**18, 10**18 + 15)]:
+        outs = {}
+        for fmt in ("plain", "tsv"):
+            code, outs[fmt], _ = run_cli(capsys, "seq", "d", "--s", str(s), "--from",
+                                         str(lo), "--to", str(hi), "--format", fmt)
+            assert code == 0
+        column = [line.split("\t")[1] for line in outs["tsv"].splitlines()]
+        assert outs["plain"].splitlines() == column, (s, lo, hi)
+        assert outs["plain"] == "".join(f"{sq.d(s, n)}\n" for n in range(lo, hi + 1))
+
+
 # Range dumps by argv prefix: (first index, the public function per value).
 # The codes dumps are checked against the bridges a_max(n) = a(1, n - 1) and
 # b_seq(n) = a(0, n), which verify proves, with a read off the tree oracle:

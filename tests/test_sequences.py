@@ -177,6 +177,41 @@ def test_table_is_append_only():
     assert t.values(0, 50) == first
 
 
+def _textbook_recurrence(s, n):
+    """a(s, 0..n) by the two-index recurrence as written, in a list."""
+    a = [1] * (s + 2) + [2]
+    for m in range(s + 3, n + 1):
+        a.append(a[m - s - a[m - 1]] + a[m - s - 1 - a[m - 2]])
+    return a
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 5, 50])
+def test_table_matches_the_textbook_recurrence(s):
+    # uneven calls, so the value carried from one step's first index to the
+    # next step's second index starts fresh inside the seed and at call
+    # boundaries on either side of 2^12 and 2^16
+    top = 1 << 17
+    t = sq.SequenceTable(s)
+    for n in (s + 2, s + 3, s + 4, s + 4, 4097, 4098, 5000, (1 << 16) + 1, top - 1, top):
+        t.extend_to(n)
+    assert t.values(0, top) == _textbook_recurrence(s, top)
+
+
+@pytest.mark.parametrize("s", [0, 3])
+@pytest.mark.parametrize("back", [1, 2], ids=["first-index", "carried-index"])
+def test_planted_index_out_of_range_is_named(s, back):
+    # back = 1 corrupts a(m - 1), which sets step m's first index; back = 2
+    # corrupts a(m - 2), which sets its second index, the one a call reads
+    # ahead of its first step.  Each value sends the index below 0 or to m.
+    for value in (10**6, -s - 1):
+        t = sq.SequenceTable(s)
+        t.extend_to(100)
+        t._a[-back] = value
+        with pytest.raises(RuntimeError, match=rf"shift={s} n=101\b"):
+            t.extend_to(200)
+        assert len(t._a) == 101
+
+
 def test_shift_must_be_nonnegative():
     with pytest.raises(ValueError):
         sq.SequenceTable(-1)
