@@ -39,7 +39,8 @@ def _emit_window(window, read, fmt, out):
 
 
 def _emit_pairs(indices, values, fmt, out):
-    """Write one chunk with one printf-style pass over a repeated template."""
+    """Write one chunk with one printf-style pass over a repeated template:
+    the route for any int value (0/1 values take ``_emit_flags``)."""
     k = len(values)
     if fmt == "plain":
         out.write(("%d\n" * k) % tuple(values))
@@ -51,33 +52,70 @@ def _emit_pairs(indices, values, fmt, out):
         out.write((f"%d{sep}%d\n" * k) % tuple(flat))
 
 
-# d's flags 0 and 1 as the digits "0" and "1"; every other byte (the
-# newlines) stays as it is
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
+# A flag 0 or 1 as the digit "0" or "1"; any other byte becomes 0xff, which
+# the ASCII decode of its lines refuses, so a value that is no flag raises
+# instead of printing
+_DIGITS = b"01" + b"\xff" * 254
 
 
-def _emit_flags(window, s, out):
-    """Write d(s, n) for each n in window, one digit a line: a chunk's flags
-    fill every other byte of a run of newlines, and one translate turns
-    them into digits."""
+@functools.cache
+def _digit_cycle(place):
+    """One period of an index's digit at place (a power of ten) as n
+    counts up: each of "0" .. "9" place times."""
+    return b"".join(bytes([digit]) * place for digit in b"0123456789")
+
+
+def _emit_flags(window, read, fmt, out):
+    """Write (n, flag) for each n in window like ``_emit_window``, where
+    read(lo, hi) gives 0/1 values, with no Python step a line.
+
+    A chunk is cut where the index gains a digit and at each multiple of
+    10**low, the least power of ten >= _CHUNK.  In such a piece every line
+    has one width, and the index digits above 10**low are one string, so
+    the piece starts as one line template repeated.  Each index digit
+    below 10**low is then one strided slice assignment of a slice of its
+    period (``_digit_cycle``), and the flags, made digits by one translate
+    a chunk, are one more.  Plain lines are the flag alone.  A piece's
+    bytes are O(chunk) at any index: nothing is built per place above
+    10**low."""
+    sep = {"tsv": b"\t", "bfile": b" "}.get(fmt)
+    low = len(str(_CHUNK - 1))
+    period = 10**low
     for i in range(0, len(window), _CHUNK):
         chunk = window[i : i + _CHUNK]
-        lines = bytearray(b"\n") * (2 * len(chunk))
-        lines[::2] = bytes(sequences.d_window(s, chunk[0], chunk[-1]))
-        out.write(lines.translate(_DIGITS).decode("ascii"))
+        flags = bytearray(read(chunk[0], chunk[-1])).translate(_DIGITS)
+        if sep is None:
+            lines = bytearray(b"\0\n") * len(flags)
+            lines[::2] = flags
+            out.write(lines.decode("ascii"))
+            continue
+        n, end = chunk[0], chunk[-1] + 1
+        while n < end:
+            width = len(str(n))
+            stop = min(end, 10**width, n - n % period + period)
+            high = b"%d" % (n // period) if n >= period else b""
+            row = high + bytes(width - len(high)) + sep + b"\0\n"
+            size, k = len(row), stop - n
+            lines = bytearray(row) * k
+            for place in range(width - len(high)):  # 10**place, from the units up
+                cycle = _digit_cycle(10**place)
+                start = n % len(cycle)
+                lines[width - 1 - place :: size] = \
+                    (cycle * ((start + k) // len(cycle) + 1))[start : start + k]
+            lines[size - 2 :: size] = flags[n - chunk[0] : stop - chunk[0]]
+            out.write(lines.decode("ascii"))
+            n = stop
 
 
 def _cmd_seq(args, out):
     window = _window(args, 1)
-    if args.which == "d" and args.format == "plain":
-        _emit_flags(window, args.s, out)
-        return 0
     if args.which == "a":  # the shift table, grown to the window's end
         read = sequences.table(args.s).values
     else:  # the closed form of p, or the leaf flags joined from p's gaps
         kernel = sequences.p_window if args.which == "p" else sequences.d_window
         read = functools.partial(kernel, args.s)
-    _emit_window(window, read, args.format, out)
+    emit = _emit_flags if args.which == "d" else _emit_window
+    emit(window, read, args.format, out)
     return 0
 
 
@@ -94,9 +132,10 @@ def _cmd_gf(args, out):
         gf = series.gf_Ps(s, args.order)
     else:  # A: the quotient form serves every s; verify checks it against gf_As
         gf = series.gf_A_from_D(s, args.order)
-    coeffs = gf.coeffs  # a copy: read it once
-    _emit_window(range(args.order + 1), lambda lo, hi: coeffs[lo : hi + 1],
-                 args.format, out)
+    coeffs, emit = gf.coeffs, _emit_window  # a copy: read it once
+    if which == "D":  # d's flags: one bytearray, cheaper to slice than the tuple
+        coeffs, emit = bytearray(coeffs), _emit_flags
+    emit(range(args.order + 1), lambda lo, hi: coeffs[lo : hi + 1], args.format, out)
     return 0
 
 

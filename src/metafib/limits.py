@@ -13,7 +13,7 @@ N > OUTPUT itself; ``cli`` checks only its windows, ``mtable`` cells and
 # (`seq a|d` in a later one): `seq a --s 1` takes 0.76 s and 33 MB peak RSS
 # (its shift table at 4 bytes a value, one 2**12-value chunk formatted at a
 # time); `seq p --s 1` reads the closed form a bit-length run at a time
-# (0.87 s), `seq d --s 1` (0.05 s, its flags formatted as bytes) and
+# (0.87 s), `seq d --s 1` (0.03 s, or 0.04 s as bfile, written as bytes) and
 # `codes amax|bseq` at 2**22 values (1.01-1.05 s) one leaf-label walk a chunk,
 # 17 MB each, and `codes mtable --nmax 2049` one walk over a(0, 1..2048) read
 # backwards per row (0.05 s).  `word runs --terms 2097151` (2**22 - 23

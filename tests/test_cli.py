@@ -545,7 +545,8 @@ def test_bulk_seq_matches_per_value(capsys, which, fmt):
 
 @pytest.mark.parametrize("s", [0, 3, 10**18])
 def test_seq_d_plain_matches_tsv_and_per_value(capsys, s):
-    # plain seq d is formatted from bytes, every other dump by the template
+    # every seq d format is written from byte columns, so plain is checked
+    # against tsv's flag column and against d one value at a time
     for lo, hi in [(1, 1), (4095, 4097), (1, 8193), (10**18, 10**18 + 15)]:
         outs = {}
         for fmt in ("plain", "tsv"):
@@ -555,6 +556,49 @@ def test_seq_d_plain_matches_tsv_and_per_value(capsys, s):
         column = [line.split("\t")[1] for line in outs["tsv"].splitlines()]
         assert outs["plain"].splitlines() == column, (s, lo, hi)
         assert outs["plain"] == "".join(f"{sq.d(s, n)}\n" for n in range(lo, hi + 1))
+
+
+# The 0/1 dumps (seq d, gf D) cut each chunk where the index gains a digit
+# and at the multiples of 10**4: windows across 10**k, across the chunk
+# edges, and of one label.  The chunk 7 cuts at every multiple of 10, the
+# chunk 1000 at those of 1000.
+FLAG_WINDOWS = [*((max(1, 10**k - 2050), 10**k + 2050) for k in (1, 2, 3, 4, 5, 17, 18)),
+                (1, 4095), (1, 4096), (1, 4097), (4095, 4097), (1, 8193), (8193, 8193),
+                (1, 1), (9, 9), (10, 10), (10**18 - 1, 10**18 - 1), (10**18, 10**18)]
+
+
+@pytest.mark.parametrize("chunk", [cli._CHUNK, 7, 1000])
+@pytest.mark.parametrize("s", [0, 3, 10**18])
+def test_seq_d_dumps_match_the_tree_oracle_line_by_line(capsys, monkeypatch, s, chunk):
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    for lo, hi in FLAG_WINDOWS:
+        window = range(lo, hi + 1)
+        flags = [trees.is_leaf_oracle(s, n) for n in window]
+        for fmt in ("plain", "tsv", "bfile"):
+            code, out, _ = run_cli(capsys, "seq", "d", "--s", str(s), "--from", str(lo),
+                                   "--to", str(hi), "--format", fmt)
+            assert code == 0
+            assert out == "".join(per_value_lines(window, flags, fmt)), (lo, hi, fmt)
+
+
+@pytest.mark.parametrize("s", [0, 3, 10**18])
+def test_gf_d_dumps_match_the_series_line_by_line(capsys, s):
+    for order in (0, 1, 9, 10, 99, 100, 4095, 4096, 65536):
+        window = range(order + 1)
+        coeffs = series.gf_Ds_sum(s, order).coeffs
+        for fmt in ("bfile", "tsv"):
+            code, out, _ = run_cli(capsys, "gf", "D", "--s", str(s), "--order", str(order),
+                                   "--format", fmt)
+            assert code == 0
+            assert out == "".join(per_value_lines(window, coeffs, fmt)), (order, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "tsv"])
+def test_flag_writer_refuses_a_value_that_is_no_flag(fmt):
+    sink = _ByteCount()
+    with pytest.raises(ValueError):
+        cli._emit_flags(range(1, 4), lambda lo, hi: [0, 2, 1], fmt, sink)
+    assert sink.count == 0
 
 
 # Range dumps by argv prefix: (first index, the public function per value).

@@ -6,11 +6,14 @@ the count of one call is exact and repeatable on any host.  Line events do
 not see work done in C, such as big-int arithmetic or building a list, so
 these counts bound Python steps, not time; the wall-clock budgets of the
 other tests stay.  Each bound is c·bitlen(n) + c0 with the constants stated
-beside it, held by the worst of 200 random n per bit length.  One bound is
-on memory instead: tracemalloc's peak, also exact on one Python version.
+beside it, held by the worst of 200 random n per bit length, plus a term
+per 2^12-value chunk for the window kernels and the 0/1 CLI dumps.  Some
+bounds are on memory instead: tracemalloc's peak, also exact on one Python
+version.
 """
 
 import gc
+import hashlib
 import random
 import sys
 import tracemalloc
@@ -18,7 +21,7 @@ from array import array
 
 import pytest
 
-from metafib import codes, compositions, sequences as sq, series, trees, words
+from metafib import cli, codes, compositions, sequences as sq, series, trees, words
 
 
 def line_events(fn, *args) -> int:
@@ -185,6 +188,96 @@ def test_window_kernels_take_linear_in_chunks_and_bit_length_steps(kernel, c, c0
                 count = line_events(kernel, s, lo, hi)
                 if count > c * (-(-width // 4096) + hi.bit_length()) + c0:
                     over[s, lo, width] = count
+    assert not over, over
+
+
+class _HashSink:
+    """A stdout that keeps only the SHA-256 of what is written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+
+
+def _dump(argv):
+    """cli.main(argv) with stdout sent to a hashing sink; it must exit 0."""
+    stdout, sys.stdout = sys.stdout, _HashSink()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        sys.stdout = stdout
+
+
+def flag_dumps(widths, orders):
+    """(argv, window length, hi) of every 0/1 dump: seq d in each format at
+    windows of the given widths from 1, across 10**6 and 10**18 and at 10**12,
+    and gf D in each format at the given orders."""
+    for s in (0, 3, 10**18):
+        for lo in (1, 10**6 - 2050, 10**12, 10**18 - 4100):
+            for width in widths:
+                for fmt in ("plain", "tsv", "bfile"):
+                    yield (["seq", "d", "--s", str(s), "--from", str(lo),
+                            "--to", str(lo + width - 1), "--format", fmt], width, lo + width - 1)
+    for s in (0, 1, 3, 10**18):
+        for order in orders:
+            for fmt in ("bfile", "tsv"):
+                yield ["gf", "D", "--s", str(s), "--order", str(order), "--format", fmt], order + 1, order
+
+
+def test_flag_dumps_take_linear_in_chunks_and_digits_steps():
+    # 24·⌈window/2^12⌉·(digits of hi) + 16·bitlen(hi) + 100, counted in
+    # cli.main less argparse's own lines on the same argv (the standard
+    # library's, which differ between Python versions).  The writer runs a
+    # few dozen lines a piece of a chunk, a chunk having one piece or two
+    # (five below 10**4), and the window kernel and the series builder add
+    # theirs; the worst, seq d --from 1 --to 65536, reads 1833, 18.3 a chunk
+    # and digit over 16·17 + 100.  A per-line Python loop adds 2^12 a chunk.
+    parser = cli._parser()
+    over = {}
+    for argv, width, hi in flag_dumps((1, 1 << 12, (1 << 12) + 1, 1 << 14, 1 << 16),
+                                      (0, 1, 9, 10, 99, 100, 4095, 4096, 16384, 65536)):
+        parser.parse_args(argv)  # argparse's first call runs lines the later ones skip
+        count = line_events(_dump, argv) - line_events(parser.parse_args, argv)
+        if count > 24 * -(-width // 4096) * len(str(hi)) + 16 * hi.bit_length() + 100:
+            over[" ".join(argv)] = count
+    assert not over, over
+
+
+def _peak(fn, *args) -> int:
+    """tracemalloc's peak over one call fn(*args)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _series_as_read(s, order):
+    """What gf D holds before it writes: the series and its tuple copy."""
+    built = series.gf_Ds_sum(s, order)
+    return built, built.coeffs
+
+
+def test_flag_dumps_peak_memory_is_one_chunk():
+    # 80·2^12 + 2^15 bytes over what the dump holds outside the writer:
+    # nothing for seq d, whose window kernel builds one chunk at a time, and
+    # for gf D the series as it is read (its builder's peak, with the list
+    # and the tuple copy held).  A chunk's lines are held three times, as the
+    # bytearray, its decoded str and the sink's encoded bytes, 22 bytes a line
+    # at 19 index digits: the worst, seq d tsv across 10**18, peaks at 68.2
+    # bytes a value, and gf D at 68 KB over the series.  Lines for the whole
+    # window of 2^16 values would take 20 times a chunk's.
+    cli._parser()  # built once per process, before anything is traced
+    over = {}
+    for argv, _, order in flag_dumps((1 << 12, 1 << 16), (4095, 4096, 16384, 65536)):
+        _dump(argv)  # the digit periods are cached on the first call
+        held = _peak(_series_as_read, int(argv[3]), order) if argv[0] == "gf" else 0
+        if (peak := _peak(_dump, argv)) - held > 80 * (1 << 12) + (1 << 15):
+            over[" ".join(argv)] = (peak, held)
     assert not over, over
 
 

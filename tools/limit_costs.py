@@ -49,6 +49,8 @@ CASES = [
     ("import metafib.cli", lambda: 0),
     ("seq a --s 1 --to 2**22", _cli("seq", "a", "--s", 1, "--to", OUT)),
     ("seq d --s 1 --to 2**22", _cli("seq", "d", "--s", 1, "--to", OUT)),
+    ("seq d --s 1 --to 2**22 --format bfile",
+     _cli("seq", "d", "--s", 1, "--to", OUT, "--format", "bfile")),
     ("seq p --s 1 --to 2**22", _cli("seq", "p", "--s", 1, "--to", OUT)),
     ("word runs --terms 2097151", _cli("word", "runs", "--terms", 2**21 - 1)),
     ("word stream --length 2**22", _cli("word", "stream", "--length", OUT)),
