@@ -67,7 +67,9 @@ def _digit_cycle(place):
 
 def _emit_flags(window, read, fmt, out):
     """Write (n, flag) for each n in window like ``_emit_window``, where
-    read(lo, hi) gives 0/1 values, with no Python step a line.
+    read(lo, hi) gives 0/1 values, with no Python step a line: bytes, as
+    ``sequences.d_flags`` gives them, are copied once into the chunk's
+    bytearray, which translates and is sliced into the lines faster.
 
     A chunk is cut where the index gains a digit and at each multiple of
     10**low, the least power of ten >= _CHUNK.  In such a piece every line
@@ -112,7 +114,7 @@ def _cmd_seq(args, out):
     if args.which == "a":  # the shift table, grown to the window's end
         read = sequences.table(args.s).values
     else:  # the closed form of p, or the leaf flags joined from p's gaps
-        kernel = sequences.p_window if args.which == "p" else sequences.d_window
+        kernel = sequences.p_window if args.which == "p" else sequences.d_flags
         read = functools.partial(kernel, args.s)
     emit = _emit_flags if args.which == "d" else _emit_window
     emit(window, read, args.format, out)

@@ -23,7 +23,7 @@ The ``seq d|p`` and ``codes`` range dumps read window kernels instead of
 one call per value, each taking O(window / 2^12 + log hi) Python steps:
 ``p_window`` adds one offset to a slice of an import-time table of
 2t - popcount(t), t < 2^12, a run of equal bit lengths and equal k >> 12
-at a time, in one packed int; ``d_window`` joins the gaps of p, one bytes
+at a time, in one packed int; ``d_flags`` joins the gaps of p, one bytes
 piece a leaf, from the first leaf of its window; and ``a_window`` sums
 those flags.
 
@@ -196,7 +196,7 @@ def p(s: int, n: int) -> int:
     return 1 + 2 * k - k.bit_count() + s * k.bit_length()
 
 
-# p_window and d_window work in blocks of 2^12 leaves.  With k = n - 1 =
+# p_window and d_flags work in blocks of 2^12 leaves.  With k = n - 1 =
 # high·2^12 + t, p(s, n) is an offset set by high and k's bit length plus
 # 2t - popcount(t); and leaf k = high·2^12 + t, 0 < t < 2^12, is followed
 # by ruler(t) - 1 labels that are no leaves, s more if k is a power of two.
@@ -281,24 +281,30 @@ def p_window(s: int, lo: int, hi: int) -> list:
     return out
 
 
-def d_window(s: int, lo: int, hi: int) -> list:
-    """Values d(s, lo..hi) as a list, from the gaps of p: leaf k's label is
-    followed by ruler(k) - 1 labels that are no leaves, and by s more when
-    k is a power of two.  The flags join one bytes piece a leaf, 1 and then
-    those zeros, from leaf a(s, lo - 1) + 1 (leaf 1 at lo = 1, since the
-    base value a(s, 0) = 1 is no leaf count) on; ``p`` is read for that
-    leaf's label only.  Leaves 1 .. 2^12 - 1 of every block of 2^12 have
-    the same pieces, so a run of them up to the block's end or the next
-    power of two is one slice of ``_GAPS``.  A leaf at a multiple of 2^12 or
-    at a power of two gets its own piece, cut at hi.  Labels before lo are
-    trimmed, never an error.  Empty when hi < lo.  O(window + log hi)
-    bytes, O(window / 2^12 + log hi) Python steps; reads no table.
+def d_flags(s: int, lo: int, hi: int) -> bytes:
+    """Values d(s, lo..hi) as bytes, one a label, from the gaps of p: leaf
+    k's label is followed by ruler(k) - 1 labels that are no leaves, and by
+    s more when k is a power of two.  The flags join one bytes piece a
+    leaf, 1 and then those zeros, from leaf a(s, lo - 1) + 1 (leaf 1 at
+    lo = 1, since the base value a(s, 0) = 1 is no leaf count) on; ``p``
+    is read for that leaf's label only.  Leaves 1 .. 2^12 - 1 of every
+    block of 2^12 have the same pieces, so a run of them up to the block's
+    end or the next power of two is one slice of ``_GAPS``.  A leaf at a
+    multiple of 2^12 or at a power of two gets its own piece, cut at hi.
+    Labels before lo are trimmed, never an error.  Empty when hi < lo.
+    O(window + log hi) bytes, O(window / 2^12 + log hi) Python steps;
+    reads no table.
     """
-    return list(_leaf_flags(s, lo, hi)[0])
+    return _leaf_flags(s, lo, hi)[0]
+
+
+def d_window(s: int, lo: int, hi: int) -> list:
+    """Values d(s, lo..hi) as a list: ``d_flags``' bytes as ints."""
+    return list(d_flags(s, lo, hi))
 
 
 def _leaf_flags(s: int, lo: int, hi: int) -> tuple:
-    """``d_window``'s flags as bytes, and the leaves before lo: a(s, lo - 1),
+    """``d_flags``' bytes, and the leaves before lo: a(s, lo - 1),
     or 0 at lo = 1 (and when hi < lo)."""
     if s < 0 or lo < 1:
         raise ValueError("d_window needs s >= 0, lo >= 1")
@@ -329,8 +335,8 @@ def _leaf_flags(s: int, lo: int, hi: int) -> tuple:
 
 
 def a_window(s: int, lo: int, hi: int) -> list:
-    """Values a(s, lo..hi) as a list: the running sum of ``d_window``'s
-    flags from a(s, lo - 1), or from 0 at lo = 1.  ``_leaf_flags`` checks
+    """Values a(s, lo..hi) as a list: the running sum of ``d_flags``'
+    bytes from a(s, lo - 1), or from 0 at lo = 1.  ``_leaf_flags`` checks
     the arguments and finds that count once, for its first leaf and here."""
     flags, before = _leaf_flags(s, lo, hi)
     out = list(accumulate(flags, initial=before))

@@ -10,11 +10,22 @@ to every check as ``b["table"]`` and dropped when ``run_all`` returns.
 The evaluator sweeps (10^5 labels a shift at full depth) are compared with
 the recurrence one window of at most ``_WINDOW`` labels at a time, so no
 sweep-long list of values is ever held.
+
+The sweeps of different shifts share nothing, so the evaluators identity
+runs those of shifts 0 .. (shift_max + 2) // 2 - 1 (0-3 at full depth,
+0-1 at quick) in a child forked with ``os.fork``, while this process runs
+the other shifts and then the ``a0_fast`` and ``a1_fast`` sweeps.  The
+child's tables and its ``as_descent`` memo writes end with it.  Where
+``os.fork`` is missing, or the process runs more than one thread (a fork
+could deadlock in the child, and warns from Python 3.12 on), the identity
+runs in-process; its PASS/FAIL line is the same either way.
 """
 
 from __future__ import annotations
 
+import os
 import sys
+import threading
 import time
 from functools import cache, partial
 from itertools import accumulate
@@ -95,20 +106,92 @@ def _per_value(route):
     return lambda first, last: map(route, range(first, last + 1))
 
 
+def _forkable() -> bool:
+    """True where os.fork exists and this process runs one thread.  Linux
+    lists every thread, native ones too, under /proc/self/task; elsewhere
+    only Python's own threads are counted."""
+    if not hasattr(os, "fork"):
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return threading.active_count() == 1
+
+
+def _split(first, second):
+    """Run first() and second(), first() in a forked child where
+    ``_forkable`` allows, and raise what first(); second() would raise.
+
+    The child sends one record up a pipe, b"P" or b"F" and the text of
+    first()'s failure, and always leaves by os._exit, so it never returns
+    into the caller, flushes the output buffered here or runs exit
+    handlers.  This process runs second() meanwhile, reaps the child, and
+    raises first()'s failure ahead of its own.  A child that ends without
+    a record fails as a crash.
+    """
+    if not _forkable():
+        first()
+        second()
+        return
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            try:
+                first()
+                record = "P"
+            except IdentityFailure as exc:
+                record = f"F{exc}"
+            except Exception as exc:
+                record = f"Fcrashed: {exc!r}"
+            with open(write_end, "wb") as pipe:
+                pipe.write(record.encode("utf-8", "backslashreplace"))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    own = None
+    with open(read_end, "rb") as pipe:
+        try:
+            try:
+                second()
+            except Exception as exc:  # raised after the child's failure, if any
+                own = exc
+            record = pipe.read()
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0 or not record:
+        raise ChildProcessError(f"forked child ended with no result, exit code {code}")
+    if record != b"P":
+        raise IdentityFailure(record[1:].decode("utf-8"))
+    if own is not None:
+        raise own
+
+
 def _check_evaluators(b):
-    top = b["n_eval"]
-    for s in range(b["shift_max"] + 1):
-        t = b["table"](s)
-        _sweep(_per_value(partial(sequences.as_via_a0, s)), t, 1, top,
-               lambda n: f"as_via_a0({s},{n})")
-        _sweep(_per_value(partial(sequences.as_descent, s)), t, 1, top,
-               lambda n: f"as_descent({s},{n})")
-        _sweep(partial(sequences.a_window, s), t, 1, top,
-               lambda n: f"a_window({s},{n})")
-    _sweep(_per_value(sequences.a0_fast), b["table"](0), 0, top,
-           lambda n: f"a0_fast({n})")
-    _sweep(_per_value(sequences.a1_fast), b["table"](1), 1, top,
-           lambda n: f"a1_fast({n})")
+    top, shifts = b["n_eval"], range(b["shift_max"] + 1)
+    half = (b["shift_max"] + 2) // 2  # shifts swept in the child
+
+    def per_shift(part):
+        for s in part:
+            t = b["table"](s)
+            _sweep(_per_value(partial(sequences.as_via_a0, s)), t, 1, top,
+                   lambda n: f"as_via_a0({s},{n})")
+            _sweep(_per_value(partial(sequences.as_descent, s)), t, 1, top,
+                   lambda n: f"as_descent({s},{n})")
+            _sweep(partial(sequences.a_window, s), t, 1, top,
+                   lambda n: f"a_window({s},{n})")
+
+    def rest():
+        per_shift(shifts[half:])
+        _sweep(_per_value(sequences.a0_fast), b["table"](0), 0, top,
+               lambda n: f"a0_fast({n})")
+        _sweep(_per_value(sequences.a1_fast), b["table"](1), 1, top,
+               lambda n: f"a1_fast({n})")
+
+    _split(partial(per_shift, shifts[:half]), rest)
 
 
 def _check_tree_flags(b):

@@ -1,5 +1,8 @@
 import io
+import os
+import threading
 import tracemalloc
+from functools import cache
 from types import SimpleNamespace
 
 import pytest
@@ -35,6 +38,12 @@ def test_evaluator_mismatch_names_the_first_bad_label(monkeypatch):
                      for line in (f"PASS  {name}" for name, _ in verify.IDENTITIES)]
 
 
+def plant(monkeypatch, name, bad):
+    """Make sequences.<name> one too high at the arguments bad."""
+    real = getattr(sequences, name)
+    monkeypatch.setattr(sequences, name, lambda *args: real(*args) + (args == bad))
+
+
 # Quick depth sweeps labels up to n_eval = 5000 at shifts 0..3, in windows
 # of 2^12 labels: 1..4096 and 4097..5000 (0..4095 and 4096..5000 for a0).
 @pytest.mark.parametrize("name, bad, text", [
@@ -44,8 +53,7 @@ def test_evaluator_mismatch_names_the_first_bad_label(monkeypatch):
     ("a1_fast", (5000,), "a1_fast(5000)"),
 ])
 def test_evaluator_window_edges_name_the_bad_label(monkeypatch, name, bad, text):
-    real = getattr(sequences, name)
-    monkeypatch.setattr(sequences, name, lambda *args: real(*args) + (args == bad))
+    plant(monkeypatch, name, bad)
     ok, lines = run_quick()
     assert not ok
     failed = [line for line in lines if not line.startswith("PASS")]
@@ -107,7 +115,9 @@ def test_wrong_gap_piece_fails_the_evaluators_at_its_leaf(monkeypatch):
 def test_evaluator_sweep_memory_does_not_grow_with_the_sweep(monkeypatch):
     # Both sides read lists built beforehand, so all that is traced is what
     # the comparison itself holds; traced, the routes' and the table's own
-    # int allocations would take ~10 s.
+    # int allocations would take ~10 s.  Shift 0 is swept in the forked
+    # child, so what is traced is this process's half: shift 1, a0_fast
+    # and a1_fast.
     window = 1 << 12
     vals = [sequences.SequenceTable(s).values(0, 16 * window) for s in (0, 1)]
     tables = [SimpleNamespace(values=lambda lo, hi, v=v: v[lo : hi + 1]) for v in vals]
@@ -127,6 +137,130 @@ def test_evaluator_sweep_memory_does_not_grow_with_the_sweep(monkeypatch):
 
     small, large = peak(2), peak(16)
     assert large <= 1.5 * small, (small, large)
+
+
+EVALUATORS = "closed-form evaluators match the recurrence"
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_quick_forked_and_in_process(monkeypatch):
+    """run_quick's result, once with the evaluator sweeps split over a
+    forked child and once in-process (os.fork hidden), which must agree."""
+    assert verify._forkable()
+    forked = run_quick()
+    assert_no_child_left()
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        assert run_quick() == forked
+    return forked[1]
+
+
+@pytest.mark.parametrize("shift_max, in_child", [(3, 2), (6, 4)], ids=["quick", "full"])
+def test_the_child_sweeps_the_lower_half_of_the_shifts(monkeypatch, shift_max, in_child):
+    # a planted crash at shift s names the process it ran in; the child's
+    # comes back as the text of its FAIL line
+    real, me = sequences.as_via_a0, os.getpid()
+    ran = []
+    for s in range(shift_max + 1):
+        def planted(t, n, s=s):
+            if t == s:
+                raise RuntimeError("child" if os.getpid() != me else "parent")
+            return real(t, n)
+
+        monkeypatch.setattr(sequences, "as_via_a0", planted)
+        with pytest.raises((verify.IdentityFailure, RuntimeError)) as info:
+            verify._check_evaluators({"shift_max": shift_max, "n_eval": 10,
+                                      "table": cache(sequences.SequenceTable)})
+        ran.append(str(info.value))
+        assert_no_child_left()
+    assert ran == (["crashed: RuntimeError('child')"] * in_child
+                   + ["parent"] * (shift_max + 1 - in_child))
+
+
+# At quick depth the child sweeps shifts 0 and 1, this process shifts 2 and
+# 3 and then a0_fast and a1_fast.
+@pytest.mark.parametrize("planted, text", [
+    ([("as_via_a0", (0, 4000))], "as_via_a0(0,4000)"),
+    ([("a_window", (1, 4097, 5000))], "a_window(1,4097)"),
+    ([("as_descent", (3, 17))], "as_descent(3,17)"),
+    ([("a1_fast", (4999,))], "a1_fast(4999)"),
+    # the child's shifts come first, so its failure is the one reported
+    ([("a1_fast", (4999,)), ("as_descent", (2, 5)), ("as_descent", (1, 4500))],
+     "as_descent(1,4500)"),
+], ids=["child", "child-window", "parent", "parent-a1", "both"])
+def test_a_mismatch_in_either_half_is_reported_as_in_process(monkeypatch, planted, text):
+    for name, bad in planted:
+        if name == "a_window":  # a window reader: one wrong value at its lo
+            real = sequences.a_window
+            monkeypatch.setattr(sequences, "a_window", lambda s, lo, hi: [
+                v + ((s, lo, hi) == bad and n == lo)
+                for n, v in zip(range(lo, hi + 1), real(s, lo, hi))])
+        else:
+            plant(monkeypatch, name, bad)
+    lines = run_quick_forked_and_in_process(monkeypatch)
+    assert [line for line in lines if not line.startswith("PASS")] == \
+        [f"FAIL  {EVALUATORS}: {text}"]
+
+
+def test_a_crash_in_the_child_is_reported_as_in_process(monkeypatch):
+    real = sequences.as_descent
+
+    def planted(s, n):
+        if (s, n) == (1, 300):
+            raise RuntimeError("planted at 'as_descent(1,300)'")
+        return real(s, n)
+
+    monkeypatch.setattr(sequences, "as_descent", planted)
+    lines = run_quick_forked_and_in_process(monkeypatch)
+    assert [line for line in lines if not line.startswith("PASS")] == \
+        [f"FAIL  {EVALUATORS}: crashed: RuntimeError(\"planted at 'as_descent(1,300)'\")"]
+
+
+def test_a_child_that_ends_without_a_record_fails_as_a_crash(monkeypatch):
+    real, me = sequences.as_via_a0, os.getpid()
+
+    def planted(s, n):
+        if s == 0 and n == 100 and os.getpid() != me:
+            os._exit(3)
+        return real(s, n)
+
+    monkeypatch.setattr(sequences, "as_via_a0", planted)
+    ok, lines = run_quick()
+    assert_no_child_left()
+    assert not ok
+    assert [line for line in lines if not line.startswith("PASS")] == \
+        [f"FAIL  {EVALUATORS}: crashed: ChildProcessError("
+         "'forked child ended with no result, exit code 3')"]
+
+
+def test_a_live_thread_keeps_the_sweeps_in_process(monkeypatch, capfd):
+    # A fork with a second thread running would warn from Python 3.12 on
+    # (an error under -W error).  The planted route counts its shift-0 calls
+    # in this process's memory, which a forked child's calls never reach.
+    real, calls = sequences.as_descent, []
+    monkeypatch.setattr(sequences, "as_descent",
+                        lambda s, n: calls.append(n) or real(s, n) if s == 0 else real(s, n))
+    assert verify.run_all("quick")  # to stdout, through what pytest captures
+    forked = capfd.readouterr()
+    assert not calls
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert not verify._forkable()
+        assert verify.run_all("quick")
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert len(calls) == 5000
+    assert capfd.readouterr() == forked
+    assert forked.out == "".join(f"PASS  {name}\n" for name, _ in verify.IDENTITIES)
+    assert_no_child_left()
 
 
 def test_flipped_leaf_flag_fails_only_the_ones_count(monkeypatch):
