@@ -134,7 +134,7 @@ def _cmd_gf(args, out):
         gf = series.gf_Ps(s, args.order)
     else:  # A: the quotient form serves every s; verify checks it against gf_As
         gf = series.gf_A_from_D(s, args.order)
-    coeffs, emit = gf.coeffs, _emit_window  # a copy: read it once
+    coeffs, emit = gf.coeffs, _emit_window
     if which == "D":  # d's flags: one bytearray, cheaper to slice than the tuple
         coeffs, emit = bytearray(coeffs), _emit_flags
     emit(range(args.order + 1), lambda lo, hi: coeffs[lo : hi + 1], args.format, out)

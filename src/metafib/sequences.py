@@ -298,17 +298,12 @@ def d_flags(s: int, lo: int, hi: int) -> bytes:
     return _leaf_flags(s, lo, hi)[0]
 
 
-def d_window(s: int, lo: int, hi: int) -> list:
-    """Values d(s, lo..hi) as a list: ``d_flags``' bytes as ints."""
-    return list(d_flags(s, lo, hi))
-
-
 def _leaf_flags(s: int, lo: int, hi: int) -> tuple:
     """``d_flags``' bytes, and the leaves before lo: a(s, lo - 1),
     or 0 at lo = 1 (and when hi < lo)."""
     if s < 0 or lo < 1:
-        raise ValueError("d_window needs s >= 0, lo >= 1")
-    limits.check("d_window values", hi - lo + 1, "OUTPUT")
+        raise ValueError("d_flags needs s >= 0, lo >= 1")
+    limits.check("d_flags values", hi - lo + 1, "OUTPUT")
     if hi < lo:
         return b"", 0
     before = as_via_a0(s, lo - 1) if lo > 1 else 0

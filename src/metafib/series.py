@@ -1,20 +1,20 @@
 """Exact truncated power series and the generating functions of the streams.
 
 A TruncatedSeries holds any integer coefficients c_0..c_N (negative, or past
-2^64 as in gf_Ps at s = 10^18) of a series known mod z^(N+1).  Builders
-refuse an order above ``limits.OUTPUT`` before they allocate; results of
-arithmetic skip that check (``_adopt``).  Builders whose docstrings bound
-the coefficients work in one packed int, decoded once, coefficient i in
-bits [w*i, w*(i+1)).  Evaluation at z = 2**w maps Z[z]/z^(N+1) onto
-Z/2^(w(N+1)) as rings, so ``+`` adds, ``(x << w*k) & mask`` multiplies by
-z**k, and fields may carry or go negative midway: only the final ones must
-fit.  A shift with k > N is 0 at once, never a w*k-bit int.
+2^64 as in gf_Ps at s = 10^18) of a series known mod z^(N+1), as one
+read-only tuple: ``coeffs`` is that tuple, uncopied.  Builders refuse an
+order above ``limits.OUTPUT`` before they allocate.  Builders whose
+docstrings bound the coefficients work in one packed int, decoded once,
+coefficient i in bits [w*i, w*(i+1)).  Evaluation at z = 2**w maps
+Z[z]/z^(N+1) onto Z/2^(w(N+1)) as rings, so ``+`` adds,
+``(x << w*k) & mask`` multiplies by z**k, and fields may carry or go
+negative midway: only the final ones must fit.  A shift with k > N is 0 at
+once, never a w*k-bit int.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 import sys
 from array import array
 
@@ -28,39 +28,25 @@ def _check_order(order: int) -> None:
 
 
 class TruncatedSeries:
-    """Integer coefficients modulo z**(order+1)."""
+    """Integer coefficients modulo z**(order+1), read-only."""
 
     __slots__ = ("order", "_c")
 
     def __init__(self, coeffs, order: int):
         _check_order(order)
-        coeffs = list(itertools.islice(coeffs, order + 1))
-        self.order, self._c = order, coeffs + [0] * (order + 1 - len(coeffs))
+        coeffs = tuple(itertools.islice(coeffs, order + 1))
+        self.order, self._c = order, coeffs + (0,) * (order + 1 - len(coeffs))
 
     @classmethod
-    def _adopt(cls, coeffs: list, order: int) -> "TruncatedSeries":
-        """Wrap a fresh list of exactly order + 1 coefficients, uncopied."""
+    def _adopt(cls, cells, order: int) -> "TruncatedSeries":
+        """Wrap exactly order + 1 coefficients as a tuple, unchecked."""
         series = cls.__new__(cls)
-        series.order, series._c = order, coeffs
+        series.order, series._c = order, tuple(cells)
         return series
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([0], order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls([1], order)
-
-    @classmethod
-    def monomial(cls, exponent: int, order: int) -> "TruncatedSeries":
-        if exponent < 0:
-            raise ValueError("exponent must be >= 0")
-        return cls.one(order).shift_by_power(exponent)
 
     @property
     def coeffs(self) -> tuple:
-        return tuple(self._c)
+        return self._c
 
     def coefficient(self, n: int) -> int:
         if not 0 <= n <= self.order:
@@ -79,26 +65,6 @@ class TruncatedSeries:
         shown = ", ".join(f"{c}*z^{i}" for i, c in enumerate(self._c) if c)
         return f"TruncatedSeries(order={self.order}: {shown or '0'})"
 
-    # Every _c holds exactly order + 1 coefficients: map stops at the lower order.
-    def __add__(self, other):
-        n = min(self.order, other.order)
-        return TruncatedSeries._adopt(list(map(operator.add, self._c, other._c)), n)
-
-    def __sub__(self, other):
-        n = min(self.order, other.order)
-        return TruncatedSeries._adopt(list(map(operator.sub, self._c, other._c)), n)
-
-    def shift_by_power(self, k: int) -> "TruncatedSeries":
-        """Multiply by z**k (coefficients above the order fall off)."""
-        if k < 0:
-            raise ValueError("shift must be >= 0")
-        keep = max(self.order + 1 - k, 0)
-        return TruncatedSeries._adopt([0] * (self.order + 1 - keep) + self._c[:keep], self.order)
-
-    def prefix_sums(self) -> "TruncatedSeries":
-        """Divide by 1 - z: running sums of the coefficients."""
-        return TruncatedSeries._adopt(list(itertools.accumulate(self._c)), self.order)
-
 
 def _packing(order: int, cell: str):
     """Check the order; up(x, k) is x * z**k cut at it, unpack(x) x's cell-wide fields."""
@@ -115,7 +81,7 @@ def _packing(order: int, cell: str):
             cells = array(cell, cells)
             if sys.byteorder == "big":
                 cells.byteswap()
-        return TruncatedSeries._adopt(list(cells), order)
+        return TruncatedSeries._adopt(cells, order)
 
     return up, unpack
 
@@ -212,7 +178,7 @@ def gf_As(s: int, order: int) -> TruncatedSeries:
 
 def gf_A_from_D(s: int, order: int) -> TruncatedSeries:
     """Leaf counts as prefix sums of the leaf stream; valid for every s >= 0."""
-    return gf_Ds_sum(s, order).prefix_sums()
+    return TruncatedSeries._adopt(itertools.accumulate(gf_Ds_sum(s, order).coeffs), order)
 
 
 def gf_Ps(s: int, order: int) -> TruncatedSeries:
@@ -221,8 +187,7 @@ def gf_Ps(s: int, order: int) -> TruncatedSeries:
     differences are the ruler plus s at powers of two."""
     if s < 0:
         raise ValueError("gf_Ps needs s >= 0")
-    out = gf_ruler(order).shift_by_power(1)
-    out._c[0] = 1
+    steps = [1, *gf_ruler(order).coeffs[:order]]
     for j in range(max(order - 1, 0).bit_length()):  # each power of two k < order
-        out._c[(1 << j) + 1] += s
-    return out.prefix_sums()
+        steps[(1 << j) + 1] += s
+    return TruncatedSeries._adopt(itertools.accumulate(steps), order)

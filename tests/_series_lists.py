@@ -1,29 +1,58 @@
 """The list builders the packed series builders replaced, kept as test-only
 references: the same formulas, one Python list of coefficients each, so a
-fault in the packed form's masks, shifts or decoding shows as a mismatch."""
+fault in the packed form's masks, shifts or decoding shows as a mismatch.
+Each list holds exactly order + 1 coefficients, and each builder wraps its
+list in a TruncatedSeries only at the end."""
 
+import itertools
 import operator
 
 from metafib.series import TruncatedSeries
 
 
+def _zeros(order: int) -> list:
+    """order + 1 zeros; the public constructor checks the order first."""
+    return list(TruncatedSeries((), order).coeffs)
+
+
+def _monomial(k: int, order: int) -> list:
+    """z**k cut at the order."""
+    c = _zeros(order)
+    if k <= order:
+        c[k] = 1
+    return c
+
+
+def _add(x: list, y: list) -> list:
+    return list(map(operator.add, x, y))
+
+
+def _sub(x: list, y: list) -> list:
+    return list(map(operator.sub, x, y))
+
+
+def _shift(x: list, k: int) -> list:
+    """x times z**k; coefficients above the order fall off."""
+    keep = max(len(x) - k, 0)
+    return [0] * (len(x) - keep) + x[:keep]
+
+
 def gf_ruler(order: int) -> TruncatedSeries:
     """Sum over k of z**(2**k) / (1 - z**(2**k)); coefficient n is ruler(n)."""
-    out = TruncatedSeries.zero(order)
-    c = out._c
+    c = _zeros(order)
     k = 1
     while k <= order:
         for i in range(k, order + 1, k):
             c[i] += 1
         k <<= 1
-    return out
+    return TruncatedSeries(c, order)
 
 
-def _times_doubling_product(series: TruncatedSeries, top: int) -> TruncatedSeries:
-    """series times prod (1 + z**(2**j - 1)), j = 1..top; past the order a factor is 1."""
-    for j in range(1, min(top, series.order.bit_length()) + 1):
-        series = series + series.shift_by_power((1 << j) - 1)
-    return series
+def _times_doubling_product(c: list, top: int) -> list:
+    """c times prod (1 + z**(2**j - 1)), j = 1..top; past the order a factor is 1."""
+    for j in range(1, min(top, (len(c) - 1).bit_length()) + 1):
+        c = _add(c, _shift(c, (1 << j) - 1))
+    return c
 
 
 def gf_Dn(n: int, order: int) -> TruncatedSeries:
@@ -34,7 +63,7 @@ def gf_Dn(n: int, order: int) -> TruncatedSeries:
     """
     if n < 0:
         raise ValueError("gf_Dn needs n >= 0")
-    return _times_doubling_product(TruncatedSeries.monomial(n + 1, order), n)
+    return TruncatedSeries(_times_doubling_product(_monomial(n + 1, order), n), order)
 
 
 def gf_D0(order: int) -> TruncatedSeries:
@@ -42,7 +71,7 @@ def gf_D0(order: int) -> TruncatedSeries:
 
     Coefficient of z**n is d(0, n).
     """
-    return _times_doubling_product(TruncatedSeries.monomial(1, order), order)
+    return TruncatedSeries(_times_doubling_product(_monomial(1, order), order), order)
 
 
 def gf_Ds_sum(s: int, order: int) -> TruncatedSeries:
@@ -53,8 +82,7 @@ def gf_Ds_sum(s: int, order: int) -> TruncatedSeries:
     """
     if s < 0:
         raise ValueError("gf_Ds_sum needs s >= 0")
-    out = TruncatedSeries.monomial(1, order)
-    c = out._c
+    c = _monomial(1, order)
     dm = [0, 1]  # coefficients of D_0 = z, up to its degree
     m = 0
     while True:
@@ -70,7 +98,7 @@ def gf_Ds_sum(s: int, order: int) -> TruncatedSeries:
         nxt[t + 1 :] = map(operator.add, nxt[t + 1 :], dm)
         dm = nxt[: order + 1]
         m += 1
-    return out
+    return TruncatedSeries(c, order)
 
 
 def gf_Ds_nested(s: int, order: int) -> TruncatedSeries:
@@ -82,11 +110,11 @@ def gf_Ds_nested(s: int, order: int) -> TruncatedSeries:
     """
     if s < 0:
         raise ValueError("gf_Ds_nested needs s >= 0")
-    one = TruncatedSeries.one(order)
+    one = _monomial(0, order)
     t = one
     for k in range(max(1, order.bit_length()), 0, -1):
-        t = one + (t + t.shift_by_power((1 << k) - 1)).shift_by_power(s + (1 << k))
-    return (one + t.shift_by_power(s + 1)).shift_by_power(1)
+        t = _add(one, _shift(_add(t, _shift(t, (1 << k) - 1)), s + (1 << k)))
+    return TruncatedSeries(_shift(_add(one, _shift(t, s + 1)), 1), order)
 
 
 def gf_As(s: int, order: int) -> TruncatedSeries:
@@ -101,18 +129,19 @@ def gf_As(s: int, order: int) -> TruncatedSeries:
     """
     if s < 1:
         raise ValueError("gf_As needs s >= 1 (use gf_A_from_D for s = 0)")
-    prod = acc = TruncatedSeries.one(order)
+    prod = acc = _monomial(0, order)
     n = 1
     while (t := (1 << n) + s - 1) <= order:
-        prod = prod.shift_by_power(s) + prod.shift_by_power(t)
-        acc = acc + prod
+        prod = _add(_shift(prod, s), _shift(prod, t))
+        acc = _add(acc, prod)
         n += 1
-    return (acc + (prod - acc).shift_by_power(s)).shift_by_power(1).prefix_sums()
+    terms = _shift(_add(acc, _shift(_sub(prod, acc), s)), 1)
+    return TruncatedSeries(itertools.accumulate(terms), order)
 
 
 def gf_A_from_D(s: int, order: int) -> TruncatedSeries:
     """Leaf counts as prefix sums of the leaf stream; valid for every s >= 0."""
-    return gf_Ds_sum(s, order).prefix_sums()
+    return TruncatedSeries(itertools.accumulate(gf_Ds_sum(s, order).coeffs), order)
 
 
 def gf_Ps(s: int, order: int) -> TruncatedSeries:
@@ -124,11 +153,10 @@ def gf_Ps(s: int, order: int) -> TruncatedSeries:
     """
     if s < 0:
         raise ValueError("gf_Ps needs s >= 0")
-    out = gf_ruler(order).shift_by_power(1)
-    c = out._c
+    c = _shift(list(gf_ruler(order).coeffs), 1)
     c[0] = 1
     k = 1
     while k < order:
         c[k + 1] += s
         k <<= 1
-    return out.prefix_sums()
+    return TruncatedSeries(itertools.accumulate(c), order)

@@ -164,6 +164,9 @@ COMPARED = [
     ("test_counts_match_product_generating_function",
      (("compositions", "counts_up_to"),), (("series", "gf_As"),)),
     ("leaf-position generating function", (("series", "gf_Ps"),), (("sequences", "p_window"),)),
+    ("leaf-count generating functions", (("series", "gf_A_from_D"),), TABLE),
+    ("leaf-stream generating functions", (("series", "gf_Ds_sum"),), TABLE),
+    ("ruler generating function", (("series", "gf_ruler"),), (("sequences", "ruler"),)),
     *(("closed-form evaluators match the recurrence", (("sequences", name),), TABLE)
       for name in ("as_via_a0", "as_descent", "a_window", "a0_fast", "a1_fast")),
 ]

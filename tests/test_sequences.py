@@ -636,7 +636,7 @@ def test_as_descent_at_the_edges_of_each_subtree(fresh_memos, s):
 
 
 # The window kernels.  p_window's runs break where k = n - 1 changes its bit
-# length; d_window's walk (and so a_window, its running sum) starts from the
+# length; d_flags' walk (and so a_window, its running sum) starts from the
 # count before its window, which a block start (the first label of a path
 # run) or the base values can upset.
 WINDOW_SHIFTS = [*range(7), 2**23, 10**18]
@@ -684,7 +684,7 @@ def test_a_window_matches_the_table():
         windows += [(n, n) for n in range(1, 300)]
         for lo, hi in windows:
             assert sq.a_window(s, lo, hi) == t.values(lo, hi), (s, lo, hi)
-            assert sq.d_window(s, lo, hi) == _d_from_table(t, lo, hi), (s, lo, hi)
+            assert list(sq.d_flags(s, lo, hi)) == _d_from_table(t, lo, hi), (s, lo, hi)
 
 
 def test_a_window_at_huge_n_matches_the_descent():
@@ -696,13 +696,13 @@ def test_a_window_at_huge_n_matches_the_descent():
             window = range(lo, lo + 201)
             assert (sq.a_window(s, lo, window[-1])
                     == [sq.as_descent(s, n) for n in window]), (s, lo)
-            assert (sq.d_window(s, lo, window[-1])
+            assert (list(sq.d_flags(s, lo, window[-1]))
                     == [trees.is_leaf_oracle(s, n) for n in window]), (s, lo)
 
 
 # p_window packs a run (one bit length, one k >> 12) into 64-bit cells when
 # its offset p(s, n) at t = k mod 2^12 = 0 is at most 2^64 - 2^13, and takes
-# the per-value form past it; d_window gives a leaf at a multiple of 2^12
+# the per-value form past it; d_flags gives a leaf at a multiple of 2^12
 # or at a power of two a piece of its own.
 PACK_TOP = 2**64 - 2**13
 
@@ -770,7 +770,7 @@ def test_d_and_a_windows_about_own_pieces_match_the_table():
         windows = [*_own_piece_windows(s, leaves)]
         windows += [(max(1, sq.p(s, k) - 5000), sq.p(s, k) + 5000) for k in (4096, 3 * 4096)]
         for lo, hi in windows:
-            assert sq.d_window(s, lo, hi) == _d_from_table(t, lo, hi), (s, lo, hi)
+            assert list(sq.d_flags(s, lo, hi)) == _d_from_table(t, lo, hi), (s, lo, hi)
             assert sq.a_window(s, lo, hi) == t.values(lo, hi), (s, lo, hi)
 
 
@@ -779,8 +779,8 @@ def test_d_and_a_windows_about_own_pieces_at_huge_n():
     for s in (0, 1, 7, 10**18):
         for lo, hi in _own_piece_windows(s, leaves):
             hi = min(hi, lo + 80)  # the oracles answer one label a call
-            assert sq.d_window(s, lo, hi) == [trees.is_leaf_oracle(s, n)
-                                              for n in range(lo, hi + 1)], (s, lo, hi)
+            assert list(sq.d_flags(s, lo, hi)) == [trees.is_leaf_oracle(s, n)
+                                                   for n in range(lo, hi + 1)], (s, lo, hi)
             assert sq.a_window(s, lo, hi) == [sq.as_descent(s, n)
                                               for n in range(lo, hi + 1)], (s, lo, hi)
 
@@ -792,14 +792,14 @@ def test_short_windows_at_1e17():
             for hi in (lo, lo + 15):
                 labels = range(lo, hi + 1)
                 assert sq.p_window(s, lo, hi) == _p_per_value(s, lo, hi), (s, lo, hi)
-                assert sq.d_window(s, lo, hi) == [trees.is_leaf_oracle(s, n)
-                                                  for n in labels], (s, lo, hi)
+                assert list(sq.d_flags(s, lo, hi)) == [trees.is_leaf_oracle(s, n)
+                                                       for n in labels], (s, lo, hi)
                 assert sq.a_window(s, lo, hi) == [sq.as_descent(s, n)
                                                   for n in labels], (s, lo, hi)
 
 
 def test_windows_reject_bad_arguments():
-    for kernel in (sq.p_window, sq.a_window, sq.d_window):
+    for kernel in (sq.p_window, sq.a_window, sq.d_flags):
         for s, lo in ((-1, 5), (2, 0), (2, -3)):
             with pytest.raises(ValueError):
                 kernel(s, lo, lo + 3)
@@ -808,13 +808,13 @@ def test_windows_reject_bad_arguments():
 
 
 def test_windows_are_empty_below_their_start():
-    # every window reader returns [] for hi < lo, a negative hi included; a
-    # grown table must not read a negative hi as counted from its end
+    # every window reader returns [] (d_flags b"") for hi < lo, a negative hi
+    # included; a grown table must not read a negative hi as counted from its end
     t = sq.SequenceTable(3)
     t.extend_to(500)
-    readers = [t.values, *(partial(kernel, 3) for kernel in
-                           (sq.p_window, sq.a_window, sq.d_window))]
+    readers = [t.values, *(partial(kernel, 3) for kernel in (sq.p_window, sq.a_window))]
     for lo in (1, 2, 50, 101, 10**18):
         for hi in (lo - 1, lo - 2, lo - 100):
             for read in readers:
                 assert read(lo, hi) == [], (read, lo, hi)
+            assert sq.d_flags(3, lo, hi) == b"", (lo, hi)

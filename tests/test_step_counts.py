@@ -169,12 +169,13 @@ def test_counts_up_to_peak_memory_per_target():
 # + c0, one loop pass a run or piece of 2^12 leaves and a few for each
 # power of two below 2^12.  The worst over the grid below, at lo = 1 and
 # 2^14 values, any s for p_window and 0 for the walk: p_window 233,
-# d_window 204 and a_window 207, of a bound of 8·19 + 100 = 252.  The walk
-# that marked each leaf label in a Python loop read 16541 there (d_window)
-# and 4150-4220 for 2^12 labels at s = 1.  a_window(1, 10^6, 10^6 + 4095),
-# one chunk of codes amax, reads 45; it read 62 when it found the count
-# ahead of its window twice, once for d_window and once for its sum.
-WINDOW_BOUNDS = [(sq.p_window, 8, 100), (sq.d_window, 8, 100), (sq.a_window, 8, 100)]
+# d_flags 204 and a_window 207, of a bound of 8·19 + 100 = 252.  The walk
+# that marked each leaf label in a Python loop read 16541 there (d's
+# window) and 4150-4220 for 2^12 labels at s = 1.  a_window(1, 10^6,
+# 10^6 + 4095), one chunk of codes amax, reads 45; it read 62 when it found
+# the count ahead of its window twice, once for the flags and once for
+# their sum.
+WINDOW_BOUNDS = [(sq.p_window, 8, 100), (sq.d_flags, 8, 100), (sq.a_window, 8, 100)]
 
 
 @pytest.mark.parametrize("kernel, c, c0", WINDOW_BOUNDS,

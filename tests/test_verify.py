@@ -280,11 +280,18 @@ def _flip_stream_bit(real):
     return planted
 
 
+def _with_coefficient(gf, n, value):
+    """A copy of the series gf with coefficient n set to value."""
+    coeffs = list(gf.coeffs)
+    coeffs[n] = value
+    return series.TruncatedSeries(coeffs, gf.order)
+
+
 def _flip_d_coefficient(real):
     def planted(s, order):
         gf = real(s, order)
         if s == 2 and order >= 77:
-            gf._c[77] ^= 1
+            gf = _with_coefficient(gf, 77, gf.coefficient(77) ^ 1)
         return gf
     return planted
 
@@ -317,8 +324,7 @@ def test_d0_product_off_by_one_fails_only_the_leaf_stream_gf(monkeypatch):
 
     def off_at_100(order):
         gf = real(order)
-        gf._c[100] += 1
-        return gf
+        return _with_coefficient(gf, 100, gf.coefficient(100) + 1)
 
     monkeypatch.setattr(series, "gf_D0", off_at_100)
     ok, lines = run_quick()
@@ -333,9 +339,7 @@ def test_dn_product_missing_a_term_fails_only_the_leaf_stream_gf(monkeypatch):
 
     def last_term_dropped_at_5(n, order):
         gf = real(n, order)
-        if n == 5:
-            gf._c[gf.support()[-1]] = 0
-        return gf
+        return _with_coefficient(gf, gf.support()[-1], 0) if n == 5 else gf
 
     monkeypatch.setattr(series, "gf_Dn", last_term_dropped_at_5)
     ok, lines = run_quick()
