@@ -31,16 +31,20 @@ _CHUNK = 1 << 12
 
 
 def _emit_window(window, read, fmt, out):
-    """Write (n, value) for each n in window; read(lo, hi) gives the list of
-    values at the indices lo..hi of one chunk."""
+    """Write (n, value) for each n in window, one chunk at a time: read(lo,
+    hi) gives the values at the indices lo..hi of one chunk, and the chunk
+    is written by ``_emit_flags`` when they come as bytes (0/1 values) and
+    by ``_emit_pairs`` otherwise."""
     for i in range(0, len(window), _CHUNK):
         chunk = window[i : i + _CHUNK]
-        _emit_pairs(chunk, read(chunk[0], chunk[-1]), fmt, out)
+        values = read(chunk[0], chunk[-1])
+        emit = _emit_flags if isinstance(values, bytes) else _emit_pairs
+        emit(chunk, values, fmt, out)
 
 
 def _emit_pairs(indices, values, fmt, out):
-    """Write one chunk with one printf-style pass over a repeated template:
-    the route for any int value (0/1 values take ``_emit_flags``)."""
+    """Write one chunk, (n, value) for n in indices, with one printf-style
+    pass over a repeated template: the writer for any int values."""
     k = len(values)
     if fmt == "plain":
         out.write(("%d\n" * k) % tuple(values))
@@ -65,48 +69,43 @@ def _digit_cycle(place):
     return b"".join(bytes([digit]) * place for digit in b"0123456789")
 
 
-def _emit_flags(window, read, fmt, out):
-    """Write (n, flag) for each n in window like ``_emit_window``, where
-    read(lo, hi) gives 0/1 values, with no Python step a line: bytes, as
-    ``sequences.d_flags`` gives them, are copied once into the chunk's
-    bytearray, which translates and is sliced into the lines faster.
+def _emit_flags(indices, flags, fmt, out):
+    """Write one chunk, (n, flag) for n in indices, with no Python step a
+    line: the 0/1 flags come as bytes, as ``sequences.d_flags`` gives them,
+    and are made digits by one translate.
 
-    A chunk is cut where the index gains a digit and at each multiple of
-    10**low, the least power of ten >= _CHUNK.  In such a piece every line
-    has one width, and the index digits above 10**low are one string, so
+    The chunk is cut where the index gains a digit and at each multiple of
+    period, the least power of ten >= _CHUNK.  In such a piece every line
+    has one width, and the index digits above period are one string, so
     the piece starts as one line template repeated.  Each index digit
-    below 10**low is then one strided slice assignment of a slice of its
-    period (``_digit_cycle``), and the flags, made digits by one translate
-    a chunk, are one more.  Plain lines are the flag alone.  A piece's
-    bytes are O(chunk) at any index: nothing is built per place above
-    10**low."""
+    below period is then one strided slice assignment of a slice of its
+    cycle (``_digit_cycle``), and the flags are one more.  Plain lines are
+    the flag alone.  A piece's bytes are O(chunk) at any index: nothing is
+    built per place above period."""
+    flags = flags.translate(_DIGITS)
     sep = {"tsv": b"\t", "bfile": b" "}.get(fmt)
-    low = len(str(_CHUNK - 1))
-    period = 10**low
-    for i in range(0, len(window), _CHUNK):
-        chunk = window[i : i + _CHUNK]
-        flags = bytearray(read(chunk[0], chunk[-1])).translate(_DIGITS)
-        if sep is None:
-            lines = bytearray(b"\0\n") * len(flags)
-            lines[::2] = flags
-            out.write(lines.decode("ascii"))
-            continue
-        n, end = chunk[0], chunk[-1] + 1
-        while n < end:
-            width = len(str(n))
-            stop = min(end, 10**width, n - n % period + period)
-            high = b"%d" % (n // period) if n >= period else b""
-            row = high + bytes(width - len(high)) + sep + b"\0\n"
-            size, k = len(row), stop - n
-            lines = bytearray(row) * k
-            for place in range(width - len(high)):  # 10**place, from the units up
-                cycle = _digit_cycle(10**place)
-                start = n % len(cycle)
-                lines[width - 1 - place :: size] = \
-                    (cycle * ((start + k) // len(cycle) + 1))[start : start + k]
-            lines[size - 2 :: size] = flags[n - chunk[0] : stop - chunk[0]]
-            out.write(lines.decode("ascii"))
-            n = stop
+    if sep is None:
+        lines = bytearray(b"\0\n") * len(flags)
+        lines[::2] = flags
+        out.write(lines.decode("ascii"))
+        return
+    period = 10 ** len(str(_CHUNK - 1))
+    n, end = indices[0], indices[-1] + 1
+    while n < end:
+        width = len(str(n))
+        stop = min(end, 10**width, n - n % period + period)
+        high = b"%d" % (n // period) if n >= period else b""
+        row = high + bytes(width - len(high)) + sep + b"\0\n"
+        size, k = len(row), stop - n
+        lines = bytearray(row) * k
+        for place in range(width - len(high)):  # 10**place, from the units up
+            cycle = _digit_cycle(10**place)
+            start = n % len(cycle)
+            lines[width - 1 - place :: size] = \
+                (cycle * ((start + k) // len(cycle) + 1))[start : start + k]
+        lines[size - 2 :: size] = flags[n - indices[0] : stop - indices[0]]
+        out.write(lines.decode("ascii"))
+        n = stop
 
 
 def _cmd_seq(args, out):
@@ -116,8 +115,7 @@ def _cmd_seq(args, out):
     else:  # the closed form of p, or the leaf flags joined from p's gaps
         kernel = sequences.p_window if args.which == "p" else sequences.d_flags
         read = functools.partial(kernel, args.s)
-    emit = _emit_flags if args.which == "d" else _emit_window
-    emit(window, read, args.format, out)
+    _emit_window(window, read, args.format, out)
     return 0
 
 
@@ -134,10 +132,9 @@ def _cmd_gf(args, out):
         gf = series.gf_Ps(s, args.order)
     else:  # A: the quotient form serves every s; verify checks it against gf_As
         gf = series.gf_A_from_D(s, args.order)
-    coeffs, emit = gf.coeffs, _emit_window
-    if which == "D":  # d's flags: one bytearray, cheaper to slice than the tuple
-        coeffs, emit = bytearray(coeffs), _emit_flags
-    emit(range(args.order + 1), lambda lo, hi: coeffs[lo : hi + 1], args.format, out)
+    # d's flags as bytes, so their chunks take the byte-column writer
+    coeffs = bytes(gf.coeffs) if which == "D" else gf.coeffs
+    _emit_window(range(args.order + 1), lambda lo, hi: coeffs[lo : hi + 1], args.format, out)
     return 0
 
 

@@ -13,13 +13,14 @@ N > OUTPUT itself; ``cli`` checks only its windows, ``mtable`` cells and
 # (`seq a|d` in a later one): `seq a --s 1` takes 0.76 s and 33 MB peak RSS
 # (its shift table at 4 bytes a value, one 2**12-value chunk formatted at a
 # time); `seq p --s 1` reads the closed form a bit-length run at a time
-# (0.87 s), `seq d --s 1` (0.01 s, or 0.02 s as bfile, written as bytes) and
-# `codes amax|bseq` at 2**22 values (1.01-1.05 s) one leaf-label walk a chunk,
-# 17 MB each, and `codes mtable --nmax 2049` one walk over a(0, 1..2048) read
-# backwards per row (0.05 s).  `word runs --terms 2097151` (2**22 - 23
-# characters) takes 0.02 s and 28 MB (a later run), `word stream|morphism
-# --length 2**22` 0.03|0.12 s and 28-29 MB, and `counts_to_code` at 2**22 leaves
-# 0.07 s and 81 MB.  The series at order 2**22 take 0.09-0.48 s and 65-79 MB in
+# (0.87 s; in a later run 0.31 s, and 0.69 s at s = 10**19, whose runs past
+# k = 1 take the per-value form), `seq d --s 1` (0.01 s, or 0.02 s as bfile,
+# written as bytes) and `codes amax|bseq` at 2**22 values (1.01-1.05 s) one
+# leaf-label walk a chunk, 17 MB each, and `codes mtable --nmax 2049` one
+# walk over a(0, 1..2048) read backwards per row (0.05 s).  `word runs
+# --terms 2097151` (2**22 - 23 characters) takes 0.02 s and 28 MB (a later
+# run), `word stream|morphism --length 2**22` 0.03|0.12 s and 28-29 MB, and
+# `counts_to_code` at 2**22 leaves 0.07 s and 81 MB.  The series at order 2**22 take 0.09-0.48 s and 65-79 MB in
 # packed ints (`gf_ruler`, `gf_D0`, `gf_Ds_sum`, `gf_Ds_nested`), `gf_As(1, .)`
 # 1.55 s and 296 MB, `gf_A_from_D|gf_Ps(1, .)` 0.44|0.80 s and 216-217 MB, most
 # of it the 2**22 + 1 ints returned.  D_n and E_n stop at n = 21.

@@ -21,11 +21,11 @@ to the same numbers so that they can be cross-checked.
 
 The ``seq d|p`` and ``codes`` range dumps read window kernels instead of
 one call per value, each taking O(window / 2^12 + log hi) Python steps:
-``p_window`` adds one offset to a slice of an import-time table of
-2t - popcount(t), t < 2^12, a run of equal bit lengths and equal k >> 12
-at a time, in one packed int; ``d_flags`` joins the gaps of p, one bytes
-piece a leaf, from the first leaf of its window; and ``a_window`` sums
-those flags.
+``p_window`` adds one offset to a slice of 2t - popcount(t), t < 2^12,
+read at import off the gap table, a run of equal bit lengths and equal
+k >> 12 at a time, in one packed int; ``d_flags`` joins those gaps of p,
+one bytes piece a leaf, from the first leaf of its window; and
+``a_window`` sums those flags.
 
 Both memos hold machine integers from the stdlib ``array`` module, not
 boxed ints: a table takes 4 bytes a value, and the ``as_descent`` memo is
@@ -36,10 +36,11 @@ allocated once at import.
 from __future__ import annotations
 
 import operator
+import struct
 import sys
 import threading
 from array import array
-from itertools import accumulate
+from itertools import accumulate, compress
 
 from . import limits
 
@@ -203,27 +204,9 @@ def p(s: int, n: int) -> int:
 _BLOCK_BITS = 12
 _BLOCK = 1 << _BLOCK_BITS
 
-# A run is packed when it has at least _PACK_MIN values: below that the
-# per-value form costs as much or less.  Packed over per-value time for one
-# run at n = 100001, s = 2 (2-core host, Python 3.11, medians of 15
-# interleaved rounds): 1.06 at 1 and 4 values, 0.97 at 8, 0.88 at 16, 0.74
-# at 32, 0.65 at 64 and 0.53 at 2000.
-# A run whose offset passes _PACK_TOP takes the per-value form too, since
+# A run whose offset passes _PACK_TOP takes the per-value form, since
 # offset + 2t - popcount(t) < offset + 2^13 must fit a 64-bit cell.
-_PACK_MIN = 16
 _PACK_TOP = (1 << 64) - 2 * _BLOCK
-
-
-def _block_cells() -> tuple:
-    """2t - popcount(t) for t < 2^12 as 64-bit little-endian cells, and an int
-    with a 1 in each of 2^12 such cells.  By doubling: cell 2^j + t is cell t
-    plus 2^(j+1) - 1."""
-    cells, ones = 0, 1
-    for j in range(_BLOCK_BITS):
-        width = 64 << j
-        cells |= (cells + ((2 << j) - 1) * ones) << width
-        ones |= ones << width
-    return cells.to_bytes(8 * _BLOCK, "little"), ones
 
 
 def _block_gaps() -> bytes:
@@ -236,8 +219,12 @@ def _block_gaps() -> bytes:
     return plain
 
 
-_TWICE_LESS_ONES, _ONES = _block_cells()
 _GAPS = _block_gaps()
+# p_window's block, read off the gaps: cell t is where leaf t + 1's piece
+# starts, 2t - popcount(t) for t < 2^12 (cell 2^12 - 1 is the gaps' end),
+# as 64-bit little-endian cells; and an int with a 1 in each of those cells
+_TWICE_LESS_ONES = struct.pack(f"<{_BLOCK}Q", *compress(range(len(_GAPS) + 1), _GAPS + b"\1"))
+_ONES = int.from_bytes((b"\1" + bytes(7)) * _BLOCK, "little")
 
 
 def p_window(s: int, lo: int, hi: int) -> list:
@@ -247,10 +234,10 @@ def p_window(s: int, lo: int, hi: int) -> list:
 
         p(s, n) = (1 + s·b + 2^13·high - popcount(high)) + (2t - popcount(t)),
 
-    one offset for the run plus a slice of ``_TWICE_LESS_ONES``: a run of
-    at least ``_PACK_MIN`` values whose offset is at most ``_PACK_TOP`` is
-    added in one packed int of 64-bit cells and decoded once.  Any other
-    run takes the per-value form: a stepped range of 1 + s·b + 2k less
+    one offset for the run plus a slice of ``_TWICE_LESS_ONES``, the piece
+    starts of ``_GAPS``: a run whose offset is at most ``_PACK_TOP`` is
+    added in one packed int of 64-bit cells and decoded once.  A run past
+    it takes the per-value form: a stepped range of 1 + s·b + 2k less
     map(int.bit_count) over its k.  Python steps: O(window / 2^12 + log hi).
     """
     if s < 0 or lo < 1:
@@ -264,7 +251,7 @@ def p_window(s: int, lo: int, hi: int) -> list:
         n = stop - k
         high = k >> _BLOCK_BITS
         base = 1 + s * b + 2 * _BLOCK * high - high.bit_count()
-        if n < _PACK_MIN or base > _PACK_TOP:
+        if base > _PACK_TOP:
             first = 1 + s * b + 2 * k
             out += map(operator.sub, range(first, first + 2 * n, 2),
                        map(int.bit_count, range(k, stop)))

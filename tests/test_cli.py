@@ -1,4 +1,6 @@
+import io
 import os
+import random
 import tracemalloc
 
 import pytest
@@ -597,8 +599,23 @@ def test_gf_d_dumps_match_the_series_line_by_line(capsys, s):
 def test_flag_writer_refuses_a_value_that_is_no_flag(fmt):
     sink = _ByteCount()
     with pytest.raises(ValueError):
-        cli._emit_flags(range(1, 4), lambda lo, hi: [0, 2, 1], fmt, sink)
+        cli._emit_flags(range(1, 4), bytes([0, 2, 1]), fmt, sink)
     assert sink.count == 0
+
+
+@pytest.mark.parametrize("fmt", ["plain", "tsv", "bfile"])
+def test_range_dump_writer_is_picked_by_the_values_read(fmt):
+    # the same 0/1 values read as bytes take the byte-column writer and read
+    # as a list the % template; the window crosses 10**4 and chunk edges
+    rng = random.Random(40)
+    window = range(1, 10**4 + 4200)
+    flags = bytes(rng.randrange(2) for _ in window)
+    outs = []
+    for kind in (bytes, list):
+        sink = io.StringIO()
+        cli._emit_window(window, lambda lo, hi: kind(flags[lo - 1 : hi]), fmt, sink)
+        outs.append(sink.getvalue())
+    assert outs[0] == outs[1] == "".join(per_value_lines(window, flags, fmt))
 
 
 # Range dumps by argv prefix: (first index, the public function per value).

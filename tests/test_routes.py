@@ -169,6 +169,36 @@ COMPARED = [
     ("ruler generating function", (("series", "gf_ruler"),), (("sequences", "ruler"),)),
     *(("closed-form evaluators match the recurrence", (("sequences", name),), TABLE)
       for name in ("as_via_a0", "as_descent", "a_window", "a0_fast", "a1_fast")),
+    ("p marks the first occurrence in a", (("sequences", "p"),), TABLE),
+    ("p differences: ruler plus shift at powers of two",
+     (("sequences", "p"),), (("sequences", "ruler"), ("sequences", "is_power_of_two"))),
+    ("tree oracle leaf flags equal d", (("trees", "is_leaf_oracle"),), TABLE),
+    ("tree oracle leaf counts equal a", (("trees", "leaf_count_scan"),), TABLE),
+    ("a equals the count of leaf flags", (("sequences", "d"),), TABLE),
+    ("word blocks rebuild the leaf stream", (("words", "dword_prefix"),), TABLE),
+    ("word blocks rebuild the leaf stream", (("sequences", "p"),), (("words", "dword_prefix"),)),
+    ("morphism fixed point equals the shift-0 stream",
+     (("words", "morphism_fixed_point"),), (("words", "dword_prefix"),)),
+    ("reversal ties the two word families", (("words", "word_E"),), (("words", "word_D"),)),
+    ("leaf-stream generating functions", (("series", "gf_Dn"),), (("words", "word_D"),)),
+    ("composition enumeration matches the counts",
+     (("compositions", "enumerate_compositions"),), (("compositions", "count_compositions"),)),
+    ("greedy optimum equals the exhaustive optimum",
+     (("codes", "_M_greedy"),), (("codes", "M_oracle"),)),
+    ("greedy level counts dominate every code",
+     (("codes", "greedy_tree"),), (("codes", "enumerate_codes"),)),
+    # the shift-0 bridge compares the greedy count with the table too
+    ("peak pair count equals the shift-1 sequence", (("codes", "_M_greedy"),), TABLE),
+    ("peak pair count equals the shift-1 sequence",
+     (("codes", "a_max"),), (("codes", "_M_greedy"),)),
+    ("fixed-slack pair count equals the shift-0 sequence",
+     (("codes", "b_seq"),), (("codes", "_M_greedy"),)),
+    ("shrink inverts greedy growth",
+     (("codes", "shrink"),), (("codes", "greedy_tree_unbounded"),)),
+    ("partition ones equal twice the pair optimum",
+     (("codes", "max_ones_partition_brute"),), (("codes", "_M_greedy"),)),
+    ("level counts round-trip through codes",
+     (("codes", "counts_to_code"),), (("codes", "level_counts"),)),
 ]
 
 
@@ -176,3 +206,27 @@ COMPARED = [
                          ids=[f"{one[0][1]}-{other[0][1]}" for _, one, other in COMPARED])
 def test_compared_routes_share_only_the_limit_check(where, one, other):
     assert reach(one) & reach(other) <= SHARED, where
+
+
+# Compared routes that share code today, each with exactly what they share
+# beyond SHARED.  The series builders decode one packed int each through
+# one helper (the "d gf" coupling of CHANGES.md); the served M and the
+# greedy count share the feasible band, so only M_oracle checks the band.
+PACKED = {("series", name) for name in
+          ("_packing", "_check_order", "TruncatedSeries", "TruncatedSeries._adopt")}
+COUPLED = [
+    ("leaf-stream generating functions",
+     (("series", "gf_Ds_nested"),), (("series", "gf_Ds_sum"),), PACKED),
+    ("leaf-stream generating functions",
+     (("series", "gf_D0"),), (("series", "gf_Ds_sum"),), PACKED),
+    ("leaf-count generating functions",
+     (("series", "gf_As"),), (("series", "gf_A_from_D"),), PACKED),
+    ("greedy optimum equals the exhaustive optimum",
+     (("codes", "M"),), (("codes", "_M_greedy"),), {("codes", "_feasible"), ("codes", "_ceil_lg")}),
+]
+
+
+@pytest.mark.parametrize("where, one, other, shared", COUPLED,
+                         ids=[f"{one[0][1]}-{other[0][1]}" for _, one, other, _ in COUPLED])
+def test_coupled_routes_share_exactly_what_is_listed(where, one, other, shared):
+    assert reach(one) & reach(other) - SHARED == shared, where

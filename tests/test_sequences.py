@@ -753,6 +753,17 @@ def test_p_window_runs_across_multiples_of_2_12():
                 assert sq.p_window(s, lo, hi) == _p_per_value(s, lo, hi), (s, lo, hi)
 
 
+def test_p_window_block_cells_match_the_formula():
+    # read off the gap table at import; checked here by the formula alone
+    cells = sq._TWICE_LESS_ONES
+    assert len(cells) == 8 * 4096
+    assert [int.from_bytes(cells[8 * t : 8 * t + 8], "little") for t in range(4096)] \
+        == [2 * t - t.bit_count() for t in range(4096)]
+    ones = sq._ONES.to_bytes(8 * 4096, "little")
+    assert [int.from_bytes(ones[8 * t : 8 * t + 8], "little") for t in range(4096)] \
+        == [1] * 4096
+
+
 def _own_piece_windows(s, leaves):
     """Windows about the labels of the given leaves: a leaf at a multiple of
     2^12 or a power of two takes its own piece, ruler(k) (+ s) labels."""

@@ -168,8 +168,9 @@ def test_counts_up_to_peak_memory_per_target():
 # (kernel, c, c0): a window kernel's count is c·(⌈window/2^12⌉ + bitlen(hi))
 # + c0, one loop pass a run or piece of 2^12 leaves and a few for each
 # power of two below 2^12.  The worst over the grid below, at lo = 1 and
-# 2^14 values, any s for p_window and 0 for the walk: p_window 233,
-# d_flags 204 and a_window 207, of a bound of 8·19 + 100 = 252.  The walk
+# 2^14 values, any s for p_window and 0 for the walk: p_window 248 (233
+# when runs under 16 values took the per-value form), d_flags 204 and
+# a_window 207, of a bound of 8·19 + 100 = 252.  The walk
 # that marked each leaf label in a Python loop read 16541 there (d's
 # window) and 4150-4220 for 2^12 labels at s = 1.  a_window(1, 10^6,
 # 10^6 + 4095), one chunk of codes amax, reads 45; it read 62 when it found
@@ -233,8 +234,9 @@ def test_flag_dumps_take_linear_in_chunks_and_digits_steps():
     # library's, which differ between Python versions).  The writer runs a
     # few dozen lines a piece of a chunk, a chunk having one piece or two
     # (five below 10**4), and the window kernel and the series builder add
-    # theirs; the worst, seq d --from 1 --to 65536, reads 1833, 18.3 a chunk
-    # and digit over 16·17 + 100.  A per-line Python loop adds 2^12 a chunk.
+    # theirs; the worst, seq d --from 1 --to 65536 as tsv, reads 1884, 18.9
+    # a chunk and digit over 16·17 + 100 (1808 when the writer ran its own
+    # chunk loop).  A per-line Python loop adds 2^12 a chunk.
     parser = cli._parser()
     over = {}
     for argv, width, hi in flag_dumps((1, 1 << 12, (1 << 12) + 1, 1 << 14, 1 << 16),

@@ -52,6 +52,7 @@ CASES = [
     ("seq d --s 1 --to 2**22 --format bfile",
      _cli("seq", "d", "--s", 1, "--to", OUT, "--format", "bfile")),
     ("seq p --s 1 --to 2**22", _cli("seq", "p", "--s", 1, "--to", OUT)),
+    ("seq p --s 10**19 --to 2**22", _cli("seq", "p", "--s", 10**19, "--to", OUT)),
     ("word runs --terms 2097151", _cli("word", "runs", "--terms", 2**21 - 1)),
     ("word stream --length 2**22", _cli("word", "stream", "--length", OUT)),
     ("word morphism --length 2**22", _cli("word", "morphism", "--length", OUT)),
